@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import Graph
+from .graph import Graph, adjacency, degrees
 
 __all__ = [
     "Tensor",
@@ -388,8 +388,10 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
         raise ValueError("segment_sum: one segment id per row required")
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ValueError("segment_sum: segment id out of range")
+    # bincount sums each bucket in row order, as np.add.at does, but faster
     acc = np.zeros((num_segments, a.shape[1]))
-    np.add.at(acc, seg, a.values)
+    for j in range(a.shape[1]):
+        acc[:, j] = np.bincount(seg, weights=a.values[:, j], minlength=num_segments)
     out = _out(acc, a)
 
     def bwd(g):
@@ -477,31 +479,15 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # sparse aggregation
 
 
-def _masked_adjacency(graph: Graph, arc_mask: np.ndarray | None) -> tuple[sp.csr_matrix, np.ndarray]:
-    src = graph.arc_sources()
-    dst = graph.csr_neighbors
-    if arc_mask is not None:
-        mask = np.asarray(arc_mask, dtype=bool)
-        if mask.shape != (dst.shape[0],):
-            raise ValueError("arc mask must cover every directed arc")
-        src, dst = src[mask], dst[mask]
-    n = graph.num_nodes
-    adj = sp.csr_matrix(
-        (np.ones(src.shape[0]), (src, dst)), shape=(n, n)
-    )
-    deg = np.bincount(src, minlength=n).astype(np.float64)
-    return adj, deg
+_operator_cache: "weakref.WeakKeyDictionary[Graph, dict[str, sp.csr_matrix]]" = weakref.WeakKeyDictionary()
 
 
-_full_operator_cache: "weakref.WeakKeyDictionary[Graph, dict[str, sp.csr_matrix]]" = weakref.WeakKeyDictionary()
-
-
-def _operator(graph: Graph, arc_mask: np.ndarray | None, kind: str) -> sp.csr_matrix:
-    if arc_mask is None:
-        cached = _full_operator_cache.get(graph, {}).get(kind)
-        if cached is not None:
-            return cached
-    adj, deg = _masked_adjacency(graph, arc_mask)
+def _operator(graph: Graph, kind: str) -> sp.csr_matrix:
+    cached = _operator_cache.get(graph, {}).get(kind)
+    if cached is not None:
+        return cached
+    adj = adjacency(graph)
+    deg = degrees(graph).astype(np.float64)
     n = graph.num_nodes
     if kind == "mean_self":
         op = sp.diags(1.0 / (deg + 1.0)) @ (sp.eye(n, format="csr") + adj)
@@ -515,15 +501,14 @@ def _operator(graph: Graph, arc_mask: np.ndarray | None, kind: str) -> sp.csr_ma
     else:
         raise ValueError(f"unknown aggregation kind {kind!r}")
     op = op.tocsr()
-    if arc_mask is None:
-        _full_operator_cache.setdefault(graph, {})[kind] = op
+    _operator_cache.setdefault(graph, {})[kind] = op
     return op
 
 
-def _spmm(graph: Graph, arc_mask: np.ndarray | None, h: Tensor, kind: str) -> Tensor:
+def _spmm(graph: Graph, h: Tensor, kind: str) -> Tensor:
     if h.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match node count")
-    op = _operator(graph, arc_mask, kind)
+    op = _operator(graph, kind)
     out = _out(op @ h.values, h)
     op_t = op.T.tocsr()
 
@@ -534,22 +519,21 @@ def _spmm(graph: Graph, arc_mask: np.ndarray | None, h: Tensor, kind: str) -> Te
     return _emit(out, (h,), bwd)
 
 
-def spmm_mean_self(graph: Graph, arc_mask: np.ndarray | None, h: Tensor) -> Tensor:
-    """Self-inclusive mean over active neighbors:
-    out_v = (h_v + sum of active neighbor rows) / (active degree + 1).
-    Rows with no active arcs pass through unchanged."""
-    return _spmm(graph, arc_mask, h, "mean_self")
+def spmm_mean_self(graph: Graph, h: Tensor) -> Tensor:
+    """Self-inclusive mean over neighbors:
+    out_v = (h_v + sum of neighbor rows) / (degree + 1).
+    Isolated rows pass through unchanged."""
+    return _spmm(graph, h, "mean_self")
 
 
-def spmm_mean_nbr(graph: Graph, arc_mask: np.ndarray | None, h: Tensor) -> Tensor:
+def spmm_mean_nbr(graph: Graph, h: Tensor) -> Tensor:
     """Plain neighbor mean without the self term; isolated rows become 0."""
-    return _spmm(graph, arc_mask, h, "mean_nbr")
+    return _spmm(graph, h, "mean_nbr")
 
 
-def spmm_symnorm(graph: Graph, arc_mask: np.ndarray | None, h: Tensor) -> Tensor:
-    """Symmetric-normalized propagation with an implicit self loop,
-    restricted to the active arcs."""
-    return _spmm(graph, arc_mask, h, "symnorm")
+def spmm_symnorm(graph: Graph, h: Tensor) -> Tensor:
+    """Symmetric-normalized propagation with an implicit self loop."""
+    return _spmm(graph, h, "symnorm")
 
 
 # ---------------------------------------------------------------------------

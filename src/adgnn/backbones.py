@@ -119,12 +119,11 @@ def layer_forward(
     cfg: BackboneConfig,
     layer_params: dict[str, Tensor],
     graph: Graph,
-    arc_mask: np.ndarray | None,
     h: Tensor,
     activate: bool = True,
     dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """One aggregating layer over the active arcs.
+    """One aggregating layer over every edge of the graph.
 
     gcn kinds compute activation(aggregate(H) @ W); sage_mean computes
     activation(H @ W + neighbor_mean(H) @ W_nbr).  Input dropout applies
@@ -135,10 +134,10 @@ def layer_forward(
     if cfg.kind == "sage_mean":
         out = add(
             matmul(h, layer_params["weight"]),
-            matmul(spmm_mean_nbr(graph, arc_mask, h), layer_params["weight_nbr"]),
+            matmul(spmm_mean_nbr(graph, h), layer_params["weight_nbr"]),
         )
     else:
-        out = matmul(_AGGREGATORS[cfg.kind](graph, arc_mask, h), layer_params["weight"])
+        out = matmul(_AGGREGATORS[cfg.kind](graph, h), layer_params["weight"])
     return relu(out) if activate else out
 
 
@@ -173,5 +172,5 @@ def plain_forward(
         if kind == "dense":
             h = dense_forward(cfg, layer_params, h, activate, dropout_rng)
         else:
-            h = layer_forward(cfg, layer_params, graph, None, h, activate, dropout_rng)
+            h = layer_forward(cfg, layer_params, graph, h, activate, dropout_rng)
     return h

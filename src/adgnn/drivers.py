@@ -34,9 +34,15 @@ from .csbm import (
 from .datasets import load_dataset, save_dataset
 from .graph import NodeProfile, degrees, make_split, profile_counts
 from .heuristics import HEURISTIC_NAMES, degree_similarity, heuristic_similarity
-from .model import AdGnnConfig, estimated_alpha, log_benefit_scores
-from .theory import mc_single_layer_stats, single_layer_stats
-from .train import RunResult, TrainConfig, train_model
+from .model import AdGnnConfig
+from .theory import (
+    estimated_alpha,
+    log_benefit_scores,
+    mc_single_layer_stats,
+    signal_preservation_factor,
+    single_layer_stats,
+)
+from .train import RunResult, TrainConfig, multi_seed, train_model
 
 __all__ = ["KINDS", "ExperimentSpec", "execute"]
 
@@ -203,26 +209,38 @@ def _model_config(cfg: dict, tc: TrainConfig, **overrides):
     )
 
 
-def _trained_stats(
+def _train_seeds(
     model_cfg,
-    params: CsbmParams,
-    seeds: tuple[int, ...],
     tc: TrainConfig,
+    seeds: tuple[int, ...],
+    data_for,
     override_fn=None,
-) -> tuple[float, float]:
-    """Mean and std of test accuracy; data, split, and init all keyed by
-    the same per-run seed."""
-    results = []
-    for s in seeds:
-        data = sample_graph(params, seed=s)
+) -> RunResult:
+    """One training run per seed: data_for(seed) supplies the data, and
+    the same seed keys the split and the initialization."""
+
+    def run_one(s: int):
+        data = data_for(s)
         split = make_split(data[0].num_nodes, seed=s)
         override = None if override_fn is None else override_fn(data[0])
-        results.append(
-            train_model(model_cfg, data, split, tc, seed=s,
-                        depth_override=override)
-        )
-    run = RunResult(tuple(results))
-    return run.mean, run.std
+        return train_model(model_cfg, data, split, tc, seed=s,
+                           depth_override=override)
+
+    return multi_seed(run_one, seeds)
+
+
+def _sampled(params: CsbmParams):
+    """A fresh CSBM draw per seed, keyed by the seed."""
+    return lambda s: sample_graph(params, seed=s)
+
+
+def _data_source(cfg: dict):
+    """The dataset at cfg["data"] for every seed when given, else a fresh
+    CSBM draw per seed."""
+    if "data" in cfg:
+        data = load_dataset(cfg["data"])
+        return lambda s: data
+    return _sampled(_csbm_params(cfg))
 
 
 # ---------------------------------------------------------------- drivers
@@ -267,18 +285,9 @@ def run_train(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     cfg = spec.parameters
     tc = _train_config(cfg, spec.seeds)
     model_cfg = _model_config(cfg, tc)
-    fixed_data = None
-    if "data" in cfg:
-        fixed_data = load_dataset(cfg["data"])
-    results = []
-    for s in spec.seeds:
-        data = (
-            fixed_data
-            if fixed_data is not None
-            else sample_graph(_csbm_params(cfg), seed=s)
-        )
-        split = make_split(data[0].num_nodes, seed=s)
-        results.append(train_model(model_cfg, data, split, tc, seed=s))
+    results = _train_seeds(
+        model_cfg, tc, spec.seeds, _data_source(cfg)
+    ).seed_results
     header = [
         "seed",
         "test_accuracy",
@@ -327,15 +336,15 @@ def run_theory_validate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
         while True:
             d = int(rng.integers(1, max_degree + 1))
             d_plus = int(rng.integers(0, d + 1))
-            if 1 + 2 * d_plus - d != 0:
+            profile = NodeProfile(d_plus=d_plus, d_minus=d - d_plus, degree=d)
+            alpha = signal_preservation_factor(profile)
+            if alpha != 0.0:
                 break
-        profile = NodeProfile(d_plus=d_plus, d_minus=d - d_plus, degree=d)
         analytic = single_layer_stats(profile, stats)
         mc = mc_single_layer_stats(
             profile, stats, trials=trials, seed=base_seed * 1_000_003 + i,
             dim=dim,
         )
-        alpha = (1 + profile.d_plus - profile.d_minus) / (d + 1)
         rows.append([
             profile.d_plus,
             profile.d_minus,
@@ -367,8 +376,8 @@ def run_sweep_homophily(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     rows = []
     for h in grid:
         params = _csbm_params(cfg, homophily=h)
-        mean, std = _trained_stats(model_cfg, params, spec.seeds, tc)
-        rows.append([h, mean, std])
+        run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(params))
+        rows.append([h, run.mean, run.std])
     return ["homophily", "acc_mean", "acc_std"], rows
 
 
@@ -397,10 +406,10 @@ def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[li
             deg = degrees(graph)
             return np.where(deg <= _cut, 0, t_max)
 
-        mean, std = _trained_stats(
-            model_cfg, params, spec.seeds, tc, override_fn=override_fn
+        run = _train_seeds(
+            model_cfg, tc, spec.seeds, _sampled(params), override_fn
         )
-        rows.append([threshold, mean, std])
+        rows.append([threshold, run.mean, run.std])
     return ["threshold", "acc_mean", "acc_std"], rows
 
 
@@ -421,8 +430,8 @@ def run_sweep_depth(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
         for name in ("plain", "adaptive"):
             model = "plain" if name == "plain" else adaptive_name
             model_cfg = _model_config(cfg, tc, model=model, layers=depth)
-            mean, std = _trained_stats(model_cfg, params, spec.seeds, tc)
-            rows.append([depth, name, mean, std])
+            run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(params))
+            rows.append([depth, name, run.mean, run.std])
     return ["depth", "model", "acc_mean", "acc_std"], rows
 
 
@@ -434,8 +443,7 @@ def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     if any(v < 0.0 or v > 1.0 for v in lambdas):
         raise ValueError("lambda grid must lie in [0, 1]")
     tc = _train_config(cfg, spec.seeds)
-    fixed_data = load_dataset(cfg["data"]) if "data" in cfg else None
-    params = None if fixed_data is not None else _csbm_params(cfg)
+    data_for = _data_source(cfg)
     adaptive_name = cfg.get("model", "learned")
     if adaptive_name == "plain":
         raise ValueError("sweep_lambda requires an adaptive model")
@@ -444,18 +452,8 @@ def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
         model_cfg = _model_config(
             cfg, tc, model=adaptive_name, **{"lambda": lam}
         )
-        if fixed_data is not None:
-            results = []
-            for s in spec.seeds:
-                split = make_split(fixed_data[0].num_nodes, seed=s)
-                results.append(
-                    train_model(model_cfg, fixed_data, split, tc, seed=s)
-                )
-            run = RunResult(tuple(results))
-            mean, std = run.mean, run.std
-        else:
-            mean, std = _trained_stats(model_cfg, params, spec.seeds, tc)
-        rows.append([lam, mean, std])
+        run = _train_seeds(model_cfg, tc, spec.seeds, data_for)
+        rows.append([lam, run.mean, run.std])
     return ["lambda", "acc_mean", "acc_std"], rows
 
 
@@ -529,11 +527,7 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
             start = time.perf_counter()
             score_fn()
             elapsed.append(time.perf_counter() - start)
-        results = []
-        for s in spec.seeds:
-            split = make_split(graph.num_nodes, seed=s)
-            results.append(train_model(model_cfg, data, split, tc, seed=s))
-        run = RunResult(tuple(results))
+        run = _train_seeds(model_cfg, tc, spec.seeds, lambda s: data)
         rows.append([name, run.mean, run.std, min(elapsed) * 1000.0])
     return ["heuristic", "acc_mean", "acc_std", "score_compute_ms"], rows
 

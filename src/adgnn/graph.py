@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -19,6 +20,7 @@ __all__ = [
     "SplitMask",
     "build_graph",
     "degrees",
+    "adjacency",
     "neighborhood_profiles",
     "profile_counts",
     "make_split",
@@ -160,6 +162,15 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
 
 def degrees(graph: Graph) -> np.ndarray:
     return np.diff(graph.csr_offsets).astype(np.int64)
+
+
+def adjacency(graph: Graph) -> sp.csr_matrix:
+    """Unit-weight sparse adjacency over every directed arc, no self loops."""
+    src = graph.arc_sources()
+    return sp.csr_matrix(
+        (np.ones(src.shape[0]), (src, graph.csr_neighbors)),
+        shape=(graph.num_nodes, graph.num_nodes),
+    )
 
 
 def profile_counts(graph: Graph, labels: LabelVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, degrees
+from .graph import Graph, adjacency, degrees
+from .theory import minmax_normalize
 
 __all__ = [
     "HEURISTIC_NAMES",
@@ -41,13 +42,6 @@ def _require_edges(graph: Graph) -> None:
         raise ValueError("similarity scores need at least one edge")
 
 
-def _minmax_unit(raw: np.ndarray) -> np.ndarray:
-    lo, hi = raw.min(), raw.max()
-    if hi == lo:
-        return np.ones_like(raw)
-    return (raw - lo) / (hi - lo)
-
-
 def degree_similarity(graph: Graph) -> np.ndarray:
     """Degree-product score per directed arc, scaled so the largest edge
     product is exactly 1."""
@@ -57,21 +51,13 @@ def degree_similarity(graph: Graph) -> np.ndarray:
     return products / products.max()
 
 
-def _adjacency(graph: Graph) -> sp.csr_matrix:
-    src = graph.arc_sources()
-    return sp.csr_matrix(
-        (np.ones(src.shape[0]), (src, graph.csr_neighbors)),
-        shape=(graph.num_nodes, graph.num_nodes),
-    )
-
-
 def _arc_entries(matrix: sp.csr_matrix, graph: Graph) -> np.ndarray:
     vals = matrix[graph.arc_sources(), graph.csr_neighbors]
     return np.asarray(vals).reshape(-1)
 
 
 def _common_neighbor_counts(graph: Graph) -> np.ndarray:
-    adj = _adjacency(graph)
+    adj = adjacency(graph)
     return _arc_entries(adj @ adj, graph)
 
 
@@ -170,7 +156,7 @@ def heuristic_similarity(graph: Graph, name: str) -> np.ndarray:
         deg = degrees(graph)
         with np.errstate(divide="ignore"):
             inv_log = np.where(deg >= 2, 1.0 / np.log(np.maximum(deg, 2)), 0.0)
-        adj = _adjacency(graph)
+        adj = adjacency(graph)
         raw = _arc_entries(adj @ sp.diags(inv_log) @ adj, graph)
     else:
         per_node = {
@@ -179,4 +165,4 @@ def heuristic_similarity(graph: Graph, name: str) -> np.ndarray:
             "clustering_product": local_clustering,
         }[name](graph)
         raw = per_node[graph.arc_sources()] * per_node[graph.csr_neighbors]
-    return _minmax_unit(raw)
+    return minmax_normalize(raw)

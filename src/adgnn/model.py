@@ -50,6 +50,12 @@ from .autodiff import (
 from .backbones import BackboneConfig, dense_forward, glorot, layer_forward
 from .graph import Graph, degrees
 from .heuristics import HEURISTIC_NAMES, degree_similarity, heuristic_similarity
+from .theory import (
+    _ALPHA_FLOOR,
+    estimated_alpha,
+    log_benefit_scores,
+    minmax_normalize,
+)
 
 __all__ = [
     "VARIANTS",
@@ -82,10 +88,6 @@ GATING_MODES = ("hard", "soft")
 
 # graph -> {score name -> per-arc values}; lives exactly as long as the graph
 _STRUCTURAL_SCORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# Floor for |alpha| on the differentiable score path; the plan itself uses
-# an exact -inf sentinel instead.
-_ALPHA_FLOOR = 1e-12
 
 # Threshold curve init: raw slope/intercept chosen so the pre-mixture
 # sigmoid sits near 0.11 at layer 1, 0.30 at layer 2, and saturates by
@@ -291,64 +293,6 @@ def expected_label_counts(
     return d_plus, degrees(graph) - d_plus
 
 
-def estimated_alpha(
-    d_plus_hat: np.ndarray, d_minus_hat: np.ndarray, degree: np.ndarray
-) -> np.ndarray:
-    """Signal-preservation estimate (1 + d+ - d-) / (d + 1).
-
-    A continuous relaxation: with indicator-exact counts it reproduces the
-    label-based factor; an isolated node gets 1.
-    """
-    dp = np.asarray(d_plus_hat, dtype=np.float64)
-    dm = np.asarray(d_minus_hat, dtype=np.float64)
-    deg = np.asarray(degree, dtype=np.float64)
-    return (1.0 + dp - dm) / (deg + 1.0)
-
-
-def log_benefit_scores(
-    alpha_hat: np.ndarray,
-    degree: np.ndarray,
-    t_max: int,
-    beta: np.ndarray | float = 1.0,
-    gamma: np.ndarray | float = 1.0,
-) -> np.ndarray:
-    """Log-domain depth benefit over t_max layers per node.
-
-    t_max * (2 ln|alpha| + ln(d + 1) + ln beta - ln gamma); alpha of zero
-    yields the -inf sentinel.  Log domain keeps t_max = 32 finite and is
-    rank-preserving, which is all min-max normalization needs.
-    """
-    a = np.abs(np.asarray(alpha_hat, dtype=np.float64))
-    deg = np.asarray(degree, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        per_layer = (
-            2.0 * np.log(a)
-            + np.log(deg + 1.0)
-            + np.log(np.asarray(beta, dtype=np.float64))
-            - np.log(np.asarray(gamma, dtype=np.float64))
-        )
-    return t_max * per_layer
-
-
-def minmax_normalize(scores: np.ndarray) -> np.ndarray:
-    """Rescale to [0, 1].  -inf sentinels map to 0; the finite entries are
-    min-max scaled among themselves; all-equal finite input maps to all 1
-    (no discriminative information, nothing gets filtered)."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if s.size == 0:
-        raise ValueError("no scores to normalize")
-    out = np.zeros_like(s)
-    finite = np.isfinite(s)
-    if not finite.any():
-        return out
-    lo, hi = s[finite].min(), s[finite].max()
-    if hi == lo:
-        out[finite] = 1.0
-    else:
-        out[finite] = (s[finite] - lo) / (hi - lo)
-    return out
-
-
 def threshold_values(tf: ThresholdFunction, t_max: int) -> np.ndarray:
     """tau(1..t_max), monotone non-decreasing within [lambda_weight, 1]."""
     if t_max < 1:
@@ -424,10 +368,13 @@ def _soft_scores(
     beta: np.ndarray,
     gamma: np.ndarray,
 ) -> Tensor:
-    """Differentiable twin of the plan's score path.
+    """Normalized depth scores on the tape: the one score path.
 
-    |alpha| is floored instead of sent to -inf so the tape stays finite;
-    the degenerate all-equal guard reads detached values only.
+    The soft gates read these values and the plan their detached copy,
+    so training tunes the thresholds on the scores evaluation cuts.  A
+    sentinel node (|alpha| <= _ALPHA_FLOOR) scores 0 and stays out of the
+    min-max range, as in minmax_normalize; its floored log keeps the tape
+    finite.  The degenerate guards read detached values only.
     """
     n = graph.num_nodes
     d_plus = segment_sum(arc_probs, graph.arc_sources(), n)
@@ -441,10 +388,15 @@ def _soft_scores(
         add(scalar_mul(log_abs, 2.0), tensor(const_col.reshape(-1, 1))),
         float(t_max),
     )
-    if score.values.max() - score.values.min() <= 0.0:
-        return tensor(np.ones((n, 1)))
-    lo, hi = vec_min(score), vec_max(score)
-    return div(sub(score, lo), sub(hi, lo))
+    live = np.abs(alpha.values[:, 0]) > _ALPHA_FLOOR
+    if not live.any():
+        return tensor(np.zeros((n, 1)))
+    ranged = score if live.all() else row_gather(score, np.flatnonzero(live))
+    if ranged.values.max() - ranged.values.min() <= 0.0:
+        return tensor(live.astype(np.float64).reshape(-1, 1))
+    lo, hi = vec_min(ranged), vec_max(ranged)
+    eps = div(sub(score, lo), sub(hi, lo))
+    return eps if live.all() else where_rows(live, eps, tensor(np.zeros((n, 1))))
 
 
 def _soft_threshold(
@@ -488,22 +440,21 @@ def forward(
 
     deg = degrees(graph).astype(np.float64)
     beta, gamma = _per_node_calibration(cfg, graph.num_nodes, calibration)
-    d_plus, d_minus = expected_label_counts(graph, arc_probs.values)
-    alpha_hat = estimated_alpha(d_plus, d_minus, deg)
-    eps_plan = minmax_normalize(
-        log_benefit_scores(alpha_hat, deg, cfg.t_max, beta, gamma)
-    )
+    soft = cfg.gating == "soft"
+    # hard gating never differentiates the scores, so they stay off the tape
+    scored = arc_probs if soft else tensor(arc_probs.values)
+    eps = _soft_scores(scored, graph, deg, cfg.t_max, beta, gamma)
     tf = threshold_function(cfg, params)
     if depth_override is not None:
         plan = DepthPlan(
-            np.asarray(depth_override, dtype=np.int64), eps_plan, cfg.t_max
+            np.asarray(depth_override, dtype=np.int64), eps.values[:, 0], cfg.t_max
         )
     else:
-        plan = assign_stopping_depths(eps_plan, threshold_values(tf, cfg.t_max))
+        plan = assign_stopping_depths(
+            eps.values[:, 0], threshold_values(tf, cfg.t_max)
+        )
 
-    soft = cfg.gating == "soft"
     if soft:
-        eps_soft = _soft_scores(arc_probs, graph, deg, cfg.t_max, beta, gamma)
         slope = softplus(tf.slope_raw)
         ones_row = tensor(np.ones((1, bb.hidden_dim)))
 
@@ -512,11 +463,11 @@ def forward(
         layer = {"weight": params[f"conv{t}.weight"]}
         if bb.kind == "sage_mean":
             layer["weight_nbr"] = params[f"conv{t}.weight_nbr"]
-        update = layer_forward(bb, layer, graph, None, h, True, dropout_rng)
+        update = layer_forward(bb, layer, graph, h, True, dropout_rng)
         if soft:
             gate = sigmoid(
                 scalar_mul(
-                    sub(eps_soft, _soft_threshold(tf, slope, t)),
+                    sub(eps, _soft_threshold(tf, slope, t)),
                     1.0 / cfg.temperature,
                 )
             )

@@ -23,6 +23,9 @@ __all__ = [
     "AggregationStats",
     "CalibrationFactors",
     "Regime",
+    "estimated_alpha",
+    "log_benefit_scores",
+    "minmax_normalize",
     "signal_preservation_factor",
     "single_layer_stats",
     "multi_layer_stats",
@@ -38,6 +41,11 @@ __all__ = [
 
 # exp() overflows float64 just above this
 _LOG_FLOAT_MAX = 709.0
+
+# |alpha| at or below this marks a sentinel node: total cancellation, or
+# rounding noise around it.  Its log benefit is -inf, so it scores 0 and
+# stays out of the min-max range.
+_ALPHA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,15 +95,71 @@ class Regime(Enum):
     MIXED = "mixed"
 
 
-def signal_preservation_factor(profile: NodeProfile) -> float:
-    """How much of the class-mean separation survives one aggregation.
+def estimated_alpha(
+    d_plus_hat: np.ndarray, d_minus_hat: np.ndarray, degree: np.ndarray
+) -> np.ndarray:
+    """Signal preservation factor (1 + d+ - d-) / (d + 1), per node.
 
-    Equals (1 + same - different) / (degree + 1): the self term plus
-    same-label neighbors pull toward the node's own class mean, while
-    different-label neighbors pull toward the other one.  Ranges over
-    [-1, 1]; isolated nodes score 1.
+    How much of the class-mean separation survives one aggregation: the
+    self term plus same-label neighbors pull toward the node's own class
+    mean, different-label neighbors toward the other one.  Ranges over
+    [-1, 1]; an isolated node gets 1.  Expected (fractional) counts give
+    the continuous relaxation the depth scores use.
     """
-    return (1 + profile.d_plus - profile.d_minus) / (profile.degree + 1)
+    dp = np.asarray(d_plus_hat, dtype=np.float64)
+    dm = np.asarray(d_minus_hat, dtype=np.float64)
+    deg = np.asarray(degree, dtype=np.float64)
+    return (1.0 + dp - dm) / (deg + 1.0)
+
+
+def log_benefit_scores(
+    alpha_hat: np.ndarray,
+    degree: np.ndarray,
+    t_max: int,
+    beta: np.ndarray | float = 1.0,
+    gamma: np.ndarray | float = 1.0,
+) -> np.ndarray:
+    """Log-domain depth benefit over t_max layers per node.
+
+    t_max * (2 ln|alpha| + ln(d + 1) + ln beta - ln gamma); |alpha| at or
+    below _ALPHA_FLOOR yields the -inf sentinel.  Log domain keeps
+    t_max = 32 finite and is rank-preserving, which is all min-max
+    normalization needs.
+    """
+    a = np.abs(np.asarray(alpha_hat, dtype=np.float64))
+    deg = np.asarray(degree, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        per_layer = (
+            2.0 * np.log(np.where(a > _ALPHA_FLOOR, a, 0.0))
+            + np.log(deg + 1.0)
+            + np.log(np.asarray(beta, dtype=np.float64))
+            - np.log(np.asarray(gamma, dtype=np.float64))
+        )
+    return t_max * per_layer
+
+
+def minmax_normalize(scores: np.ndarray) -> np.ndarray:
+    """Rescale to [0, 1].  -inf sentinels map to 0; the finite entries are
+    min-max scaled among themselves; all-equal finite input maps to all 1
+    (no discriminative information, nothing gets filtered)."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if s.size == 0:
+        raise ValueError("no scores to normalize")
+    out = np.zeros_like(s)
+    finite = np.isfinite(s)
+    if not finite.any():
+        return out
+    lo, hi = s[finite].min(), s[finite].max()
+    if hi == lo:
+        out[finite] = 1.0
+    else:
+        out[finite] = (s[finite] - lo) / (hi - lo)
+    return out
+
+
+def signal_preservation_factor(profile: NodeProfile) -> float:
+    """estimated_alpha of one neighborhood's exact label counts."""
+    return float(estimated_alpha(profile.d_plus, profile.d_minus, profile.degree))
 
 
 def single_layer_stats(profile: NodeProfile, stats: ClassStats) -> AggregationStats:
@@ -124,32 +188,38 @@ def multi_layer_stats(profile: NodeProfile, stats: ClassStats, n_layers: int) ->
     return AggregationStats.from_signal_noise(signal, noise)
 
 
+def _log_benefit(
+    profile: NodeProfile, calibration: CalibrationFactors, n_layers: int
+) -> float:
+    if n_layers < 0:
+        raise ValueError("n_layers must be non-negative")
+    if n_layers == 0:
+        return 0.0
+    alpha = signal_preservation_factor(profile)
+    return float(log_benefit_scores(
+        alpha, profile.degree, n_layers, calibration.beta, calibration.gamma
+    ))
+
+
+def _saturating_exp(log_value: float) -> float:
+    # +inf rather than OverflowError for hub nodes at large n
+    return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
+
+
 def log_depth_benefit(profile: NodeProfile, n_layers: int) -> float:
     """Natural log of the depth benefit; the canonical internal form.
 
     Returns -inf when the signal preservation factor is zero (total
     cancellation) and any layer count is applied.
     """
-    if n_layers < 0:
-        raise ValueError("n_layers must be non-negative")
-    if n_layers == 0:
-        return 0.0
-    alpha = signal_preservation_factor(profile)
-    if alpha == 0.0:
-        return -math.inf
-    return n_layers * (2.0 * math.log(abs(alpha)) + math.log(profile.degree + 1))
+    return _log_benefit(profile, IDENTITY_CALIBRATION, n_layers)
 
 
 def depth_benefit(profile: NodeProfile, n_layers: int) -> float:
     """Quality after n layers relative to quality of the raw features,
     (alpha^2 * (degree + 1)) ** n.  Saturates to +inf rather than raising
     for hub nodes at large n."""
-    log_value = log_depth_benefit(profile, n_layers)
-    if log_value == -math.inf:
-        return 0.0
-    if log_value > _LOG_FLOAT_MAX:
-        return math.inf
-    return math.exp(log_value)
+    return _saturating_exp(log_depth_benefit(profile, n_layers))
 
 
 def modified_depth_benefit(
@@ -159,20 +229,7 @@ def modified_depth_benefit(
 ) -> float:
     """Depth benefit with empirical per-layer corrections folded in:
     (beta * alpha^2 * (degree + 1) / gamma) ** n."""
-    if calibration.gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if n_layers < 0:
-        raise ValueError("n_layers must be non-negative")
-    if n_layers == 0:
-        return 1.0
-    alpha = signal_preservation_factor(profile)
-    base = calibration.beta * alpha * alpha * (profile.degree + 1) / calibration.gamma
-    if base == 0.0:
-        return 0.0
-    log_value = n_layers * math.log(base)
-    if log_value > _LOG_FLOAT_MAX:
-        return math.inf
-    return math.exp(log_value)
+    return _saturating_exp(_log_benefit(profile, calibration, n_layers))
 
 
 def _oracle_rng(seed: int) -> np.random.Generator:

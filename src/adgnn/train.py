@@ -46,7 +46,7 @@ __all__ = [
     "multi_seed",
 ]
 
-# Soft-gate temperature schedule: halve every 100 epochs, never below 1e-3.
+# Soft-gate temperature schedule: halve every 25 epochs, never below 1e-3.
 # Anneal fast enough that a default-length run reaches the near-hard
 # regime with room to spare.  Evaluation is always hard; a checkpoint
 # selected while the gates are still warm feeds the classifier blended

@@ -265,13 +265,13 @@ def _gradcheck_backbone_layers():
             layer["weight_nbr"] = tensor(
                 rng.standard_normal((f, f)), requires_grad=True
             )
-        pre = layer_forward(bb, layer, graph, None, h, activate=False)
+        pre = layer_forward(bb, layer, graph, h, activate=False)
         if np.abs(pre.values).min() < 2e-3:  # finite differences straddle kinks
             continue
         weight_tensor = tensor(rng.standard_normal((n, f)))
 
         def build():
-            out = layer_forward(bb, layer, graph, None, h)
+            out = layer_forward(bb, layer, graph, h)
             return mean_all(elementwise_mul(out, weight_tensor))
 
         worst = max(worst, check_gradients(build, [h, *layer.values()]))

@@ -287,12 +287,11 @@ class TestGradChecks:
             n = 6
             g = build_graph(rng.integers(0, n, size=(10, 2)), n)
             h = rand_tensor(rng, n, 3)
-            mask = rng.integers(0, 2, size=g.csr_neighbors.shape[0]).astype(bool)
             kind = [ad.spmm_mean_self, ad.spmm_mean_nbr, ad.spmm_symnorm][
                 int(rng.integers(3))
             ]
             w = tensor(rng.standard_normal((n, 3)))
-            return (lambda: scalarize(kind(g, mask, h), w)), [h]
+            return (lambda: scalarize(kind(g, h), w)), [h]
 
         self.run_many(case, 24)
 
@@ -306,13 +305,13 @@ class TestGradChecks:
                 g = build_graph(rng.integers(0, n, size=(18, 2)), n)
                 h = rand_tensor(rng, n, 8)
                 w_mat = rand_tensor(rng, 8, 4)
-                pre = ad.matmul(ad.spmm_symnorm(g, None, h), w_mat)
+                pre = ad.matmul(ad.spmm_symnorm(g, h), w_mat)
                 if np.abs(pre.values).min() > 1e-3:
                     break
             wt = tensor(rng.standard_normal((n, 4)))
             return (
                 lambda: scalarize(
-                    ad.relu(ad.matmul(ad.spmm_symnorm(g, None, h), w_mat)), wt
+                    ad.relu(ad.matmul(ad.spmm_symnorm(g, h), w_mat)), wt
                 )
             ), [h, w_mat]
 
@@ -323,7 +322,7 @@ class TestSpmmSemantics:
     def test_path_mean_self(self):
         g = build_graph([(0, 1), (1, 2)], 3)
         h = tensor([[2.0], [4.0], [6.0]])
-        out = ad.spmm_mean_self(g, None, h)
+        out = ad.spmm_mean_self(g, h)
         assert out.values[1, 0] == pytest.approx(4.0)
         assert out.values[0, 0] == pytest.approx(3.0)
 
@@ -331,55 +330,30 @@ class TestSpmmSemantics:
         rng = np.random.default_rng(3)
         g = build_graph(rng.integers(0, 8, size=(14, 2)), 8)
         h = tensor(np.full((8, 3), 1.7))
-        np.testing.assert_allclose(ad.spmm_mean_self(g, None, h).values, h.values)
+        np.testing.assert_allclose(ad.spmm_mean_self(g, h).values, h.values)
 
-    def test_all_masked_is_identity(self):
+    def test_edgeless_is_identity(self):
         rng = np.random.default_rng(4)
-        g = build_graph(rng.integers(0, 6, size=(9, 2)), 6)
+        g = build_graph([], 6)
         h = tensor(rng.standard_normal((6, 4)))
-        mask = np.zeros(g.csr_neighbors.shape[0], dtype=bool)
-        np.testing.assert_array_equal(ad.spmm_mean_self(g, mask, h).values, h.values)
+        np.testing.assert_array_equal(ad.spmm_mean_self(g, h).values, h.values)
 
     def test_symnorm_pair(self):
         g = build_graph([(0, 1)], 2)
         h = tensor([[4.0], [8.0]])
-        out = ad.spmm_symnorm(g, None, h)
+        out = ad.spmm_symnorm(g, h)
         np.testing.assert_allclose(out.values, [[6.0], [6.0]])
 
     def test_symnorm_isolated_identity(self):
         g = build_graph([], 1)
         h = tensor([[3.0, -1.0]])
-        np.testing.assert_array_equal(ad.spmm_symnorm(g, None, h).values, h.values)
+        np.testing.assert_array_equal(ad.spmm_symnorm(g, h).values, h.values)
 
     def test_mean_nbr_isolated_zero(self):
         g = build_graph([(0, 1)], 3)
         h = tensor(np.ones((3, 2)))
-        out = ad.spmm_mean_nbr(g, None, h)
+        out = ad.spmm_mean_nbr(g, h)
         assert np.all(out.values[2] == 0.0)
-
-    def test_masked_equals_induced_subgraph(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(3, 12))
-            g = build_graph(rng.integers(0, n, size=(20, 2)), n)
-            if g.num_edges == 0:
-                continue
-            # node-induced arc mask, symmetric by construction
-            keep_nodes = rng.integers(0, 2, size=n).astype(bool)
-            src = g.arc_sources()
-            mask = keep_nodes[src] & keep_nodes[g.csr_neighbors]
-            sub = build_graph(
-                [
-                    (u, v)
-                    for u, v in g.edges()
-                    if keep_nodes[u] and keep_nodes[v]
-                ],
-                n,
-            )
-            h = tensor(rng.standard_normal((n, 3)))
-            masked = ad.spmm_mean_self(g, mask, h).values
-            induced = ad.spmm_mean_self(sub, None, h).values
-            np.testing.assert_allclose(masked, induced, atol=1e-12)
 
     def test_permutation_symmetry_symnorm(self):
         rng = np.random.default_rng(6)
@@ -389,8 +363,8 @@ class TestSpmmSemantics:
         perm = rng.permutation(n)
         inv = np.argsort(perm)
         g_perm = build_graph([(perm[u], perm[v]) for u, v in g.edges()], n)
-        out = ad.spmm_symnorm(g, None, tensor(h)).values
-        out_perm = ad.spmm_symnorm(g_perm, None, tensor(h[inv])).values
+        out = ad.spmm_symnorm(g, tensor(h)).values
+        out_perm = ad.spmm_symnorm(g_perm, tensor(h[inv])).values
         np.testing.assert_allclose(out_perm[perm], out, atol=1e-12)
 
 
@@ -481,8 +455,8 @@ class TestDeterminism:
             for _ in range(25):
                 zero_grad(params)
                 with Tape() as tape:
-                    h = ad.relu(ad.matmul(ad.spmm_symnorm(g, None, x), params["w1"]))
-                    logits = ad.matmul(ad.spmm_symnorm(g, None, h), params["w2"])
+                    h = ad.relu(ad.matmul(ad.spmm_symnorm(g, x), params["w1"]))
+                    logits = ad.matmul(ad.spmm_symnorm(g, h), params["w2"])
                     loss = softmax_cross_entropy(logits, y, mask)
                 backward(tape, loss)
                 adam_step(params, {k: p.grad for k, p in params.items()}, state)

@@ -78,14 +78,13 @@ class TestSpine:
 
 
 class TestLayerForward:
-    def test_no_active_edges_is_dense(self):
+    def test_edgeless_is_dense(self):
         cfg = BackboneConfig(kind="gcn_rownorm", layers=1, hidden_dim=4)
-        g = build_graph([(0, 1), (1, 2)], 3)
+        g = build_graph([], 3)
         rng = np.random.default_rng(1)
         h = tensor(rng.standard_normal((3, 4)))
         w = tensor(rng.standard_normal((4, 2)))
-        mask = np.zeros(g.csr_neighbors.shape[0], dtype=bool)
-        out = layer_forward(cfg, {"weight": w}, g, mask, h)
+        out = layer_forward(cfg, {"weight": w}, g, h)
         expected = np.maximum(h.values @ w.values, 0.0)
         np.testing.assert_array_equal(out.values, expected)
 
@@ -93,7 +92,7 @@ class TestLayerForward:
         cfg = BackboneConfig(kind="gcn_rownorm", layers=1, hidden_dim=3)
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
         h = tensor(np.full((3, 3), 2.0))
-        out = layer_forward(cfg, {"weight": tensor(np.eye(3))}, g, None, h)
+        out = layer_forward(cfg, {"weight": tensor(np.eye(3))}, g, h)
         np.testing.assert_allclose(out.values, h.values)
 
     def test_gradcheck_all_kinds(self):
@@ -114,7 +113,7 @@ class TestLayerForward:
                 def build():
                     from adgnn.autodiff import elementwise_mul
 
-                    out = layer_forward(cfg, lp, g, None, h, activate=False)
+                    out = layer_forward(cfg, lp, g, h, activate=False)
                     return mean_all(elementwise_mul(out, wt))
 
                 assert check_gradients(build, leaves) < REL_TOL

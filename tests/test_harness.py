@@ -4,7 +4,10 @@ Driver runs here use deliberately tiny instances; the full-scale
 qualitative reproductions live in the acceptance suite.
 """
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,3 +461,20 @@ class TestCli:
     def test_malformed_seeds_flag(self, capsys):
         assert main(["train-eval", "--seeds", "1,x"]) == 2
         assert "comma-separated" in capsys.readouterr().err
+
+
+class TestBenchmarkTraceTargets:
+    def test_every_traced_global_resolves(self, monkeypatch):
+        # perfbench/tracing.py rebinds these module globals for --trace 1
+        # runs; a refactor that drops one crashes every traced benchmark run
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while being built
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        targets = tracing.targets(full=True)
+        assert len(targets) > 20
+        for module_name, attr, *_ in targets:
+            module = importlib.import_module(f"adgnn.{module_name}")
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -472,7 +474,12 @@ class TestForwardSemantics:
         tau = threshold_values(threshold_function(cfg, params), 4)
         manual = assign_stopping_depths(eps, tau)
         np.testing.assert_array_equal(res.plan.stopping_depth, manual.stopping_depth)
-        np.testing.assert_array_equal(res.plan.normalized_scores, eps)
+        # the plan cuts the tape scores, which round differently from the
+        # closed form in the last bits
+        deg = degrees(g).astype(np.float64)
+        tape = mod._soft_scores(tensor(probs), g, deg, 4, np.ones(15), np.ones(15))
+        np.testing.assert_array_equal(res.plan.normalized_scores, tape.values[:, 0])
+        np.testing.assert_allclose(res.plan.normalized_scores, eps, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(res.arc_probs.values.reshape(-1), probs)
 
     def test_global_calibration_never_moves_the_plan(self):
@@ -706,3 +713,154 @@ class TestLosses:
         assert total_loss(task, reg, "heuristic").item() == pytest.approx(1.0)
         with pytest.raises(ValueError):
             total_loss(task, reg, "nope")
+
+
+def _saturated_learned(cfg, n_features, seed=0):
+    # positive embeddings and first head layer, hugely negative output
+    # weights: every arc probability is exactly 0, so every degree-1 node
+    # has alpha exactly 0 and a degree-d node (1 - d) / (d + 1)
+    params = init_adgnn_params(cfg, n_features, 2, seed=seed)
+    params["dense0.weight"].values[:] = 1.0
+    params["head.w1"].values[:] = 1.0
+    params["head.w2"].values[:] = -1e4
+    return params
+
+
+class TestOneScorePath:
+    """The soft gates and the plan read one set of scores; the closed form
+    (estimated_alpha, log_benefit_scores, minmax_normalize) is the
+    reference both are checked against."""
+
+    @staticmethod
+    def check_soft_equals_plan(cfg, params, g, x):
+        soft_cfg = dataclasses.replace(cfg, gating="soft")
+        res = forward(soft_cfg, params, g, x)
+        deg = degrees(g).astype(np.float64)
+        beta, gamma = mod._per_node_calibration(cfg, g.num_nodes, None)
+        soft = mod._soft_scores(
+            res.arc_probs, g, deg, cfg.t_max, beta, gamma
+        ).values.reshape(-1)
+        np.testing.assert_array_equal(soft, res.plan.normalized_scores)
+        hard = forward(dataclasses.replace(cfg, gating="hard"), params, g, x)
+        np.testing.assert_array_equal(soft, hard.plan.normalized_scores)
+        d_plus, d_minus = expected_label_counts(g, res.arc_probs.values)
+        alpha = estimated_alpha(d_plus, d_minus, deg)
+        ref = minmax_normalize(
+            log_benefit_scores(alpha, deg, cfg.t_max, beta, gamma)
+        )
+        np.testing.assert_allclose(soft, ref, rtol=0.0, atol=1e-12)
+        sentinel = np.abs(alpha) <= mod._ALPHA_FLOOR
+        assert np.all(soft[sentinel] == 0.0)
+        return alpha, soft
+
+    @pytest.mark.parametrize(
+        "variant, heuristic",
+        [("learned", None), ("modified", None), ("fast_degree", None)]
+        + [("heuristic", name) for name in mod.HEURISTIC_NAMES],
+    )
+    def test_every_variant_with_degree_one_nodes(self, variant, heuristic):
+        rng = np.random.default_rng(31)
+        core = rng.integers(0, 20, size=(40, 2))
+        pendants = [(20 + i, int(rng.integers(20))) for i in range(4)]
+        g = build_graph(np.vstack([core, pendants]), 24)
+        assert np.sum(degrees(g) == 1) >= 4
+        kw = {"heuristic_name": heuristic} if heuristic else {}
+        cfg = config(t_max=3, variant=variant, lambda_weight=0.1, **kw)
+        params = init_adgnn_params(cfg, 5, 2, seed=3)
+        x = tensor(rng.standard_normal((24, 5)))
+        alpha, _ = self.check_soft_equals_plan(cfg, params, g, x)
+        if heuristic == "common_neighbors":
+            # a pendant's only edge has no common neighbor: exact zero alpha
+            assert np.any(alpha == 0.0)
+
+    def test_rounding_noise_alpha_is_a_sentinel(self):
+        # fast_degree on the default 2,000-node CSBM at seed 1 has a node
+        # whose arc scores sum to exactly half its degree in exact
+        # arithmetic; rounding leaves a tiny nonzero alpha
+        from adgnn.csbm import (
+            CsbmParams, canonical_prototypes, homophily_from_target, sample_graph,
+        )
+
+        p_in, p_out = homophily_from_target(0.9, 10.0, 1000, 1000)
+        mu0, mu1 = canonical_prototypes(1.0, 8)
+        params = CsbmParams(n0=1000, n1=1000, mu0=mu0, mu1=mu1, sigma=1.0,
+                            p_in=p_in, p_out=p_out)
+        g, features, _ = sample_graph(params, seed=1)
+        cfg = config(t_max=2, variant="fast_degree")
+        model_params = init_adgnn_params(cfg, features.shape[1], 2, seed=0)
+        alpha, soft = self.check_soft_equals_plan(
+            cfg, model_params, g, tensor(features)
+        )
+        noise = (alpha != 0.0) & (np.abs(alpha) <= mod._ALPHA_FLOOR)
+        assert noise.any()
+        assert np.all(soft[noise] == 0.0)
+        assert soft[~noise].min() == 0.0 and soft.max() == 1.0
+
+    @pytest.mark.parametrize(
+        "edges, n, variant, expected",
+        [
+            ([(0, 1), (2, 3)], 4, "learned", [0.0, 0.0, 0.0, 0.0]),
+            ([(0, 1), (1, 2), (2, 3)], 4, "learned", [0.0, 1.0, 1.0, 0.0]),
+            ([(i, (i + 1) % 5) for i in range(5)], 5, "fast_degree", [1.0] * 5),
+        ],
+        ids=["all_sentinel", "sentinels_and_equal", "all_equal"],
+    )
+    def test_degenerate_score_sets(self, edges, n, variant, expected):
+        g = build_graph(edges, n)
+        cfg = config(t_max=2, variant=variant)
+        params = _saturated_learned(cfg, 3)
+        x = tensor(np.ones((n, 3)))
+        _, soft = self.check_soft_equals_plan(cfg, params, g, x)
+        np.testing.assert_array_equal(soft, expected)
+
+    def test_gradcheck_soft_model_with_sentinel(self):
+        # common_neighbors gives pendant node 5 an exact zero alpha; its soft
+        # gates still carry threshold gradients at score 0
+        rng = np.random.default_rng(41)
+        g = build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)], 6)
+        cfg = config(
+            t_max=2, hidden=3, gating="soft", temperature=0.3,
+            lambda_weight=0.1, variant="heuristic",
+        )
+        params = init_adgnn_params(cfg, 3, 2, seed=5)
+        for k, t in params.items():
+            if k.startswith(("dense", "conv")):
+                t.values[:] = rng.uniform(0.5, 1.5, t.shape)
+        x = tensor(rng.uniform(0.5, 1.5, (6, 3)))
+        scores = forward(cfg, params, g, x).plan.normalized_scores
+        assert scores[5] == 0.0 and scores.max() == 1.0
+        labels = rng.integers(0, 2, size=6)
+        leaves = list(params.values())
+
+        def build():
+            res = forward(cfg, params, g, x)
+            return softmax_cross_entropy(res.logits, labels, np.ones(6, bool))
+
+        assert check_gradients(build, leaves) < REL_TOL
+
+    def test_gradcheck_scores_with_sentinel(self):
+        # arc probabilities out of pendant node 0 are pinned at 0 (alpha
+        # exactly 0); the live nodes' scores differentiate through the
+        # min-max over the live rows alone
+        rng = np.random.default_rng(42)
+        g = build_graph([(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)], 6)
+        deg = degrees(g).astype(np.float64)
+        pinned = (g.arc_sources() != 0).astype(np.float64).reshape(-1, 1)
+        ones = np.ones(6)
+        checked = 0
+        while checked < 10:
+            leaf = tensor(rng.uniform(0.05, 0.95, pinned.shape), requires_grad=True)
+            d_plus, d_minus = expected_label_counts(g, leaf.values[:, 0] * pinned[:, 0])
+            alpha = estimated_alpha(d_plus, d_minus, deg)
+            live = np.sort(log_benefit_scores(alpha, deg, 2)[1:])
+            if np.abs(alpha[1:]).min() < 0.05 or min(live[1] - live[0], live[-1] - live[-2]) < 1e-2:
+                continue
+            w = tensor(rng.standard_normal((6, 1)))
+
+            def build():
+                probs = mod.elementwise_mul(leaf, tensor(pinned))
+                eps = mod._soft_scores(probs, g, deg, 2, ones, ones)
+                return mean_all(mod.elementwise_mul(eps, w))
+
+            assert check_gradients(build, [leaf]) < REL_TOL
+            checked += 1
