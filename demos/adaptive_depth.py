@@ -47,12 +47,11 @@ data = sample_graph(params, seed=0)
 split = make_split(data[0].num_nodes, seed=0)
 cfg = AdGnnConfig(
     t_max=32,
-    backbone=BackboneConfig(kind="gcn_rownorm", layers=32, hidden_dim=16,
-                            dropout=0.0),
+    backbone=BackboneConfig(kind="gcn_rownorm", layers=32, hidden_dim=16),
     variant="learned",
     gating="soft",
 )
-tc = TrainConfig(epochs=150, lr=0.01, seeds=(0,))
+tc = TrainConfig(epochs=150, lr=0.01)
 result, _ = fit_model(cfg, data, split, tc, seed=0)
 
 hist = np.asarray(result.depth_histogram)

@@ -11,8 +11,6 @@ trajectories alone.
 Run:  python demos/depth_benefit_theory.py
 """
 
-import numpy as np
-
 from adgnn.csbm import ClassStats
 from adgnn.graph import NodeProfile
 from adgnn.theory import (

@@ -57,7 +57,6 @@ __all__ = [
     "binary_cross_entropy",
     "init_optimizer",
     "adam_step",
-    "zero_grad",
     "PROB_EPS",
 ]
 
@@ -77,7 +76,7 @@ def set_debug(enabled: bool) -> None:
 class Tensor:
     """A 2-d float64 value, optionally tracked for differentiation."""
 
-    __slots__ = ("values", "requires_grad", "grad", "tape_id")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -87,8 +86,6 @@ class Tensor:
             raise ValueError("tensors are 2-d (rows, cols)")
         self.values = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self.tape_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,7 +130,6 @@ class Tape:
         return len(self._nodes)
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
-        out.tape_id = len(self._nodes)
         self._nodes.append((out, inputs, backward_fn))
 
 
@@ -145,16 +141,15 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    # rebind-only accumulation; closures must never mutate a grad in place
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Propagate d(loss)/d(tensor) through the tape, newest node first.
 
-    Populates .grad on every tensor reached and returns the gradients of the
-    requires_grad leaves.  The tape is consumed: a second backward raises.
+    Each node's backward rule returns one gradient per input (None for an
+    input that needs none); the gradients of one tensor are summed in
+    reverse tape order, then input order within a node.  Returns the
+    gradients of the inputs the tape did not produce, its leaves.  Nothing
+    is stored on the tensors, so every call starts from zero.  The tape is
+    consumed: a second backward raises.
     """
     if tape._consumed:
         raise RuntimeError("tape already consumed by a previous backward")
@@ -162,29 +157,26 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         raise RuntimeError("backward before any forward was recorded")
     if loss.shape != (1, 1):
         raise ValueError("loss must be a (1, 1) scalar tensor")
-    if loss.tape_id is None:
+    if not any(out is loss for out, _, _ in tape._nodes):
         raise RuntimeError("loss was not produced on this tape")
-    loss.grad = np.ones((1, 1))
-    leaves: dict[Tensor, np.ndarray] = {}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones((1, 1))}
     for out, inputs, backward_fn in reversed(tape._nodes):
-        if out.grad is None:
+        # every consumer of `out` sits later on the tape, so its gradient
+        # is complete here and no longer needed afterwards
+        g = grads.pop(out, None)
+        if g is None:
             continue
-        backward_fn(out.grad)
-        for t in inputs:
-            if t.requires_grad and t.tape_id is None and t.grad is not None:
-                leaves[t] = t.grad
+        for t, g_in in zip(inputs, backward_fn(g)):
+            if g_in is not None:
+                grads[t] = g_in if t not in grads else grads[t] + g_in
     tape._consumed = True
     tape._nodes.clear()
-    return leaves
-
-
-def zero_grad(params: dict[str, Tensor]) -> None:
-    for t in params.values():
-        t.grad = None
-        t.tape_id = None
+    return grads
 
 
 def _out(values: np.ndarray, *inputs: Tensor) -> Tensor:
+    # a node is recorded only when its output requires grad, so the rule of
+    # a one-input primitive never needs to check its input
     t = Tensor(values, requires_grad=any(i.requires_grad for i in inputs))
     return t
 
@@ -198,16 +190,20 @@ def _check_scalar_or_same(a: Tensor, b: Tensor, op: str) -> bool:
     return False
 
 
+def _unbroadcast(g: np.ndarray, scalar_b: bool) -> np.ndarray:
+    """The gradient of a second operand that broadcast as a (1, 1) scalar
+    is the sum over every entry it touched."""
+    return g.sum().reshape(1, 1) if scalar_b else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims {a.shape} vs {b.shape}")
     out = _out(a.values @ b.values, a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.values.T)
-        if b.requires_grad:
-            _accum(b, a.values.T @ g)
+        return (g @ b.values.T if a.requires_grad else None,
+                a.values.T @ g if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -217,10 +213,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.values + b.values, a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g.sum().reshape(1, 1) if scalar_b else g)
+        return (g if a.requires_grad else None,
+                _unbroadcast(g, scalar_b) if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -230,10 +224,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.values - b.values, a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -(g.sum().reshape(1, 1)) if scalar_b else -g)
+        return (g if a.requires_grad else None,
+                _unbroadcast(-g, scalar_b) if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -243,11 +235,8 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.values * b.values, a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * b.values)
-        if b.requires_grad:
-            gb = g * a.values
-            _accum(b, gb.sum().reshape(1, 1) if scalar_b else gb)
+        return (g * b.values if a.requires_grad else None,
+                _unbroadcast(g * a.values, scalar_b) if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -257,11 +246,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.values / b.values, a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g / b.values)
-        if b.requires_grad:
-            gb = -g * a.values / (b.values * b.values)
-            _accum(b, gb.sum().reshape(1, 1) if scalar_b else gb)
+        return (g / b.values if a.requires_grad else None,
+                _unbroadcast(-g * a.values / (b.values * b.values), scalar_b)
+                if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -271,8 +258,7 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     out = _out(a.values * c, a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * c)
+        return (g * c,)
 
     return _emit(out, (a,), bwd)
 
@@ -282,8 +268,7 @@ def relu(a: Tensor) -> Tensor:
     out = _out(np.where(mask, a.values, 0.0), a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * mask)
+        return (g * mask,)
 
     return _emit(out, (a,), bwd)
 
@@ -293,8 +278,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _out(s, a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * s * (1.0 - s))
+        return (g * s * (1.0 - s),)
 
     return _emit(out, (a,), bwd)
 
@@ -303,8 +287,7 @@ def softplus(a: Tensor) -> Tensor:
     out = _out(np.logaddexp(0.0, a.values), a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * expit(a.values))
+        return (g * expit(a.values),)
 
     return _emit(out, (a,), bwd)
 
@@ -315,8 +298,7 @@ def log(a: Tensor) -> Tensor:
         out = _out(np.log(a.values), a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g / a.values)
+        return (g / a.values,)
 
     return _emit(out, (a,), bwd)
 
@@ -327,8 +309,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     out = _out(np.where(open_mask, a.values, floor), a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * open_mask)
+        return (g * open_mask,)
 
     return _emit(out, (a,), bwd)
 
@@ -341,10 +322,8 @@ def abs_diff(a: Tensor, b: Tensor) -> Tensor:
     out = _out(np.abs(diff), a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * sign)
-        if b.requires_grad:
-            _accum(b, -g * sign)
+        return (g * sign if a.requires_grad else None,
+                -g * sign if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -356,10 +335,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     out = _out(np.hstack([a.values, b.values]), a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g[:, :ca])
-        if b.requires_grad:
-            _accum(b, g[:, ca:])
+        return (g[:, :ca] if a.requires_grad else None,
+                g[:, ca:] if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -373,10 +350,9 @@ def row_gather(a: Tensor, indices: np.ndarray) -> Tensor:
     out = _out(a.values[idx], a)
 
     def bwd(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.values)
-            np.add.at(acc, idx, g)
-            _accum(a, acc)
+        acc = np.zeros_like(a.values)
+        np.add.at(acc, idx, g)
+        return (acc,)
 
     return _emit(out, (a,), bwd)
 
@@ -395,8 +371,7 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     out = _out(acc, a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g[seg])
+        return (g[seg],)
 
     return _emit(out, (a,), bwd)
 
@@ -408,8 +383,7 @@ def mean_all(a: Tensor) -> Tensor:
     out = _out(np.array([[a.values.mean()]]), a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, np.full(a.shape, g[0, 0] / size))
+        return (np.full(a.shape, g[0, 0] / size),)
 
     return _emit(out, (a,), bwd)
 
@@ -421,10 +395,9 @@ def _vec_extreme(a: Tensor, argpick) -> Tensor:
     out = _out(np.array([[a.values.reshape(-1)[flat_idx]]]), a)
 
     def bwd(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.values)
-            acc.reshape(-1)[flat_idx] = g[0, 0]
-            _accum(a, acc)
+        acc = np.zeros_like(a.values)
+        acc.reshape(-1)[flat_idx] = g[0, 0]
+        return (acc,)
 
     return _emit(out, (a,), bwd)
 
@@ -450,10 +423,8 @@ def where_rows(row_condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     out = _out(np.where(sel, a.values, b.values), a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * sel)
-        if b.requires_grad:
-            _accum(b, g * ~sel)
+        return (g * sel if a.requires_grad else None,
+                g * ~sel if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -469,8 +440,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     out = _out(a.values * keep * scale, a)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * keep * scale)
+        return (g * keep * scale,)
 
     return _emit(out, (a,), bwd)
 
@@ -513,8 +483,7 @@ def _spmm(graph: Graph, h: Tensor, kind: str) -> Tensor:
     op_t = op.T.tocsr()
 
     def bwd(g):
-        if h.requires_grad:
-            _accum(h, op_t @ g)
+        return (op_t @ g,)
 
     return _emit(out, (h,), bwd)
 
@@ -558,11 +527,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) 
     out = _out(np.array([[-logp[rows, y[rows]].mean()]]), logits)
 
     def bwd(g):
-        if logits.requires_grad:
-            grad = np.exp(logp)
-            grad[rows, y[rows]] -= 1.0
-            grad *= m[:, None] / count
-            _accum(logits, grad * g[0, 0])
+        grad = np.exp(logp)
+        grad[rows, y[rows]] -= 1.0
+        grad *= m[:, None] / count
+        return (grad * g[0, 0],)
 
     return _emit(out, (logits,), bwd)
 
@@ -583,9 +551,8 @@ def binary_cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
     out = _out(np.array([[value]]), probs)
 
     def bwd(g):
-        if probs.requires_grad:
-            grad = (p - t) / (p * (1.0 - p)) / p.size
-            _accum(probs, grad * inside * g[0, 0])
+        grad = (p - t) / (p * (1.0 - p)) / p.size
+        return (grad * inside * g[0, 0],)
 
     return _emit(out, (probs,), bwd)
 
@@ -625,12 +592,10 @@ def adam_step(
     params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
-    weight_decay: float = 0.0,
 ) -> dict[str, Tensor]:
     """One bias-corrected Adam update, in place.
 
-    Parameters with no gradient entry are skipped.  weight_decay adds the
-    classic L2 term g + wd * p before the moment updates.
+    Parameters with no gradient entry are skipped.
     """
     state.step += 1
     t = state.step
@@ -640,8 +605,6 @@ def adam_step(
             continue
         if g.shape != p.values.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
-        if weight_decay:
-            g = g + weight_decay * p.values
         m = state.first_moment[name]
         v = state.second_moment[name]
         m *= state.beta1

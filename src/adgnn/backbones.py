@@ -3,9 +3,9 @@
 A parameter set is a flat dict of named tensors whose keys spell out the
 layer spine: ``conv3.weight`` is the weight of an aggregating layer at
 position 3, ``dense0.weight`` a purely feature-wise transform.  Layers run
-in index order with the configured activation after every layer except the
-last.  plain_forward executes whatever spine its parameters describe with
-every edge active, which makes it both the non-adaptive baseline and the
+in index order with a ReLU after every layer except the last.
+plain_forward executes whatever spine its parameters describe with every
+edge active, which makes it both the non-adaptive baseline and the
 reference implementation that gated forwards must reduce to.
 """
 
@@ -54,7 +54,6 @@ class BackboneConfig:
     layers: int = 2
     hidden_dim: int = 64
     dropout: float = 0.0
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         if self.kind not in BACKBONE_KINDS:
@@ -65,8 +64,6 @@ class BackboneConfig:
             raise ValueError("hidden_dim must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.activation != "relu":
-            raise ValueError("only relu activation is supported")
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
@@ -125,8 +122,8 @@ def layer_forward(
 ) -> Tensor:
     """One aggregating layer over every edge of the graph.
 
-    gcn kinds compute activation(aggregate(H) @ W); sage_mean computes
-    activation(H @ W + neighbor_mean(H) @ W_nbr).  Input dropout applies
+    gcn kinds compute relu(aggregate(H) @ W); sage_mean computes
+    relu(H @ W + neighbor_mean(H) @ W_nbr).  Input dropout applies
     only when a generator is supplied (training mode).
     """
     if dropout_rng is not None and cfg.dropout > 0.0:

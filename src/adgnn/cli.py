@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .drivers import ExperimentSpec, execute
+from .drivers import ExperimentSpec, execute, format_table
 
 _SUBCOMMANDS = (
     "generate",
@@ -119,9 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         return _RUNTIME_ERROR
 
     if spec.out is None:
-        print(",".join(str(c) for c in header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
+        sys.stdout.write(format_table(header, rows, spec.output_format))
     else:
         print(f"wrote {spec.out}")
     return 0

@@ -19,10 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .csbm import measured_edge_homophily
 from .graph import Graph, LabelVector, build_graph
 
-__all__ = ["save_dataset", "load_dataset", "dataset_summary"]
+__all__ = ["save_dataset", "load_dataset"]
 
 EDGE_FILE = "edges.txt"
 FEATURE_FILE = "features.csv"
@@ -132,26 +131,11 @@ def _parse_labels(path: Path) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def dataset_summary(graph: Graph, labels: LabelVector) -> str:
-    h = (
-        f"{measured_edge_homophily(graph, labels):.4f}"
-        if graph.num_edges > 0
-        else "n/a"
-    )
-    return (
-        f"nodes={graph.num_nodes} edges={graph.num_edges} "
-        f"classes={labels.num_classes} edge_homophily={h}"
-    )
-
-
-def load_dataset(
-    directory: str | Path, quiet: bool = False
-) -> tuple[Graph, np.ndarray, LabelVector]:
+def load_dataset(directory: str | Path) -> tuple[Graph, np.ndarray, LabelVector]:
     """Read a dataset directory back into memory.
 
     The label file fixes the node count; features must match it and edge
-    endpoints must stay in range.  Prints a one-line summary (node, edge,
-    class counts plus edge homophily) unless quiet.
+    endpoints must stay in range.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -175,7 +159,4 @@ def load_dataset(
         with open(meta_path) as fh:
             meta = json.load(fh)
         num_classes = int(meta.get("num_classes", num_classes))
-    labels = LabelVector(labels=y, num_classes=num_classes)
-    if not quiet:
-        print(dataset_summary(graph, labels))
-    return graph, features, labels
+    return graph, features, LabelVector(labels=y, num_classes=num_classes)

@@ -14,6 +14,7 @@ byte-reproducible for fixed seeds.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .theory import (
 )
 from .train import RunResult, TrainConfig, multi_seed, train_model
 
-__all__ = ["KINDS", "ExperimentSpec", "execute"]
+__all__ = ["KINDS", "ExperimentSpec", "execute", "format_table"]
 
 KINDS = (
     "generate",
@@ -163,7 +164,7 @@ def _csbm_params(cfg: dict, **overrides) -> CsbmParams:
     )
 
 
-def _train_config(cfg: dict, seeds: tuple[int, ...]) -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
     merged = dict(_TRAIN_DEFAULTS)
     merged.update({k: cfg[k] for k in cfg if k in _TRAIN_KEYS})
     patience = merged["early_stop_patience"]
@@ -171,16 +172,14 @@ def _train_config(cfg: dict, seeds: tuple[int, ...]) -> TrainConfig:
         epochs=int(merged["epochs"]),
         lr=float(merged["lr"]),
         weight_decay=float(merged["weight_decay"]),
-        dropout=float(merged["dropout"]),
-        hidden_dim=int(merged["hidden"]),
-        seeds=seeds,
         early_stop_patience=None if patience is None else int(patience),
     )
 
 
-def _model_config(cfg: dict, tc: TrainConfig, **overrides):
-    merged = dict(_MODEL_DEFAULTS)
-    merged.update({k: cfg[k] for k in cfg if k in _MODEL_KEYS})
+def _model_config(cfg: dict, **overrides):
+    # the backbone's width and dropout come from the training keys
+    merged = {**_TRAIN_DEFAULTS, **_MODEL_DEFAULTS}
+    merged.update({k: cfg[k] for k in cfg if k in _TRAIN_KEYS | _MODEL_KEYS})
     merged.update(overrides)
     name = merged["model"]
     if name not in _MODEL_NAMES:
@@ -190,8 +189,8 @@ def _model_config(cfg: dict, tc: TrainConfig, **overrides):
     backbone = BackboneConfig(
         kind=merged["kind"],
         layers=int(merged["layers"]),
-        hidden_dim=tc.hidden_dim,
-        dropout=tc.dropout,
+        hidden_dim=int(merged["hidden"]),
+        dropout=float(merged["dropout"]),
     )
     if name == "plain":
         return backbone
@@ -283,8 +282,8 @@ def run_train(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     allowed = _CSBM_KEYS | _TRAIN_KEYS | _MODEL_KEYS | {"data"}
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    tc = _train_config(cfg, spec.seeds)
-    model_cfg = _model_config(cfg, tc)
+    tc = _train_config(cfg)
+    model_cfg = _model_config(cfg)
     results = _train_seeds(
         model_cfg, tc, spec.seeds, _data_source(cfg)
     ).seed_results
@@ -371,8 +370,8 @@ def run_sweep_homophily(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     grid = [float(h) for h in cfg.get("grid", (0.0, 0.25, 0.5, 0.75, 1.0))]
     if any(h < 0.0 or h > 1.0 for h in grid):
         raise ValueError("homophily grid must lie in [0, 1]")
-    tc = _train_config(cfg, spec.seeds)
-    model_cfg = _model_config(cfg, tc, model="plain")
+    tc = _train_config(cfg)
+    model_cfg = _model_config(cfg, model="plain")
     rows = []
     for h in grid:
         params = _csbm_params(cfg, homophily=h)
@@ -391,14 +390,14 @@ def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[li
     thresholds = [int(t) for t in cfg.get("thresholds", (0, 2, 4, 6))]
     if any(t < 0 for t in thresholds):
         raise ValueError("degree thresholds must be non-negative")
-    tc = _train_config(cfg, spec.seeds)
+    tc = _train_config(cfg)
     # lower default degree than the other sweeps so the forced-raw
     # population is large enough to move aggregate accuracy, and wider
     # class separation so keeping raw features is actually worth something
     base = {"homophily": 0.0, "mean_degree": 5.0, "delta_sq": 2.0}
     base.update({k: cfg[k] for k in cfg if k in _CSBM_KEYS})
     params = _csbm_params(base)
-    model_cfg = _model_config(cfg, tc, model="fast_degree", gating="hard")
+    model_cfg = _model_config(cfg, model="fast_degree", gating="hard")
     t_max = model_cfg.t_max
     rows = []
     for threshold in thresholds:
@@ -420,7 +419,7 @@ def run_sweep_depth(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     depths = [int(d) for d in cfg.get("depths", (1, 2, 4, 8, 16, 32))]
     if any(d < 1 for d in depths):
         raise ValueError("depths must be positive")
-    tc = _train_config(cfg, spec.seeds)
+    tc = _train_config(cfg)
     params = _csbm_params(cfg)
     adaptive_name = cfg.get("model", "learned")
     if adaptive_name == "plain":
@@ -429,7 +428,7 @@ def run_sweep_depth(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     for depth in depths:
         for name in ("plain", "adaptive"):
             model = "plain" if name == "plain" else adaptive_name
-            model_cfg = _model_config(cfg, tc, model=model, layers=depth)
+            model_cfg = _model_config(cfg, model=model, layers=depth)
             run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(params))
             rows.append([depth, name, run.mean, run.std])
     return ["depth", "model", "acc_mean", "acc_std"], rows
@@ -442,7 +441,7 @@ def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     lambdas = [float(v) for v in cfg.get("lambdas", (0.0, 0.25, 0.5, 0.75, 1.0))]
     if any(v < 0.0 or v > 1.0 for v in lambdas):
         raise ValueError("lambda grid must lie in [0, 1]")
-    tc = _train_config(cfg, spec.seeds)
+    tc = _train_config(cfg)
     data_for = _data_source(cfg)
     adaptive_name = cfg.get("model", "learned")
     if adaptive_name == "plain":
@@ -450,7 +449,7 @@ def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     rows = []
     for lam in lambdas:
         model_cfg = _model_config(
-            cfg, tc, model=adaptive_name, **{"lambda": lam}
+            cfg, model=adaptive_name, **{"lambda": lam}
         )
         run = _train_seeds(model_cfg, tc, spec.seeds, data_for)
         rows.append([lam, run.mean, run.std])
@@ -508,18 +507,18 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
                 f"{HEURISTIC_NAMES + ('degree',)}"
             )
     repeats = int(cfg.get("timing_repeats", 3))
-    tc = _train_config(cfg, spec.seeds)
+    tc = _train_config(cfg)
     params = _csbm_params(cfg)
     data = sample_graph(params, seed=int(cfg.get("data_seed", 0)))
     graph = data[0]
     rows = []
     for name in names:
         if name == "degree":
-            model_cfg = _model_config(cfg, tc, model="fast_degree")
+            model_cfg = _model_config(cfg, model="fast_degree")
             score_fn = lambda: degree_similarity(graph)  # noqa: E731
         else:
             model_cfg = _model_config(
-                cfg, tc, model="heuristic", heuristic_name=name
+                cfg, model="heuristic", heuristic_name=name
             )
             score_fn = lambda n=name: heuristic_similarity(graph, n)  # noqa: E731
         elapsed = []
@@ -545,19 +544,22 @@ _DISPATCH = {
 }
 
 
+def format_table(header: list[str], rows: list[list], output_format: str) -> str:
+    """The text of a result table: CSV with CRLF line ends, or a JSON list
+    with one object per row."""
+    if output_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+
+
 def _write_table(spec: ExperimentSpec, header: list[str], rows: list[list]) -> None:
     out = spec.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    if spec.output_format == "csv":
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    out.write_text(format_table(header, rows, spec.output_format), newline="")
     sidecar = out.with_name(out.name + ".meta.json")
     meta = {
         "kind": spec.kind,

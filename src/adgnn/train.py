@@ -79,9 +79,6 @@ class TrainConfig:
     epochs: int = 200
     lr: float = 0.01
     weight_decay: float = 0.0
-    dropout: float = 0.0
-    hidden_dim: int = 16
-    seeds: tuple[int, ...] = (0,)
     early_stop_patience: int | None = None
 
     def __post_init__(self) -> None:
@@ -91,12 +88,6 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.weight_decay < 0.0:
             raise ValueError("weight_decay must be non-negative")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be positive")
-        if len(self.seeds) == 0:
-            raise ValueError("at least one seed required")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("patience must be positive when set")
 

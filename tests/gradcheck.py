@@ -42,13 +42,10 @@ def check_gradients(build_loss, leaf_tensors, h=FD_STEP):
     `build_loss` must construct the loss tensor from `leaf_tensors` anew on
     every call (pure function of the leaf values).
     """
-    for t in leaf_tensors:
-        t.grad = None
-        t.tape_id = None
     with Tape() as tape:
         loss = build_loss()
-    backward(tape, loss)
-    analytic = [np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in leaf_tensors]
+    grads = backward(tape, loss)
+    analytic = [grads.get(t, np.zeros_like(t.values)) for t in leaf_tensors]
 
     def evaluate():
         return build_loss().item()

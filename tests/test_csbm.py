@@ -11,7 +11,7 @@ from adgnn.csbm import (
     sample_neighborhood,
     sample_neighborhood_batch,
 )
-from adgnn.graph import LabelVector, NodeProfile, build_graph, degrees, profile_counts
+from adgnn.graph import LabelVector, NodeProfile, build_graph, profile_counts
 
 
 def small_params(**over):

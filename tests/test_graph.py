@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adgnn.graph import (
-    Graph,
     LabelVector,
     NodeProfile,
     build_graph,

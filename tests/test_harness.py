@@ -17,11 +17,12 @@ from adgnn.csbm import (
     CsbmParams,
     canonical_prototypes,
     homophily_from_target,
+    measured_edge_homophily,
     sample_graph,
 )
-from adgnn.datasets import dataset_summary, load_dataset, save_dataset
+from adgnn.datasets import load_dataset, save_dataset
 from adgnn.drivers import ExperimentSpec, execute
-from adgnn.graph import LabelVector, build_graph, degrees, make_split
+from adgnn.graph import LabelVector, build_graph, make_split
 from adgnn.heuristics import HEURISTIC_NAMES
 from adgnn.model import AdGnnConfig
 from adgnn.backbones import BackboneConfig
@@ -44,7 +45,7 @@ class TestDatasetIO:
     def test_round_trip_identity(self, tmp_path):
         graph, features, labels = small_csbm()
         save_dataset(tmp_path / "ds", graph, features, labels)
-        g2, x2, y2 = load_dataset(tmp_path / "ds", quiet=True)
+        g2, x2, y2 = load_dataset(tmp_path / "ds")
         assert g2.num_nodes == graph.num_nodes
         assert g2.num_edges == graph.num_edges
         np.testing.assert_array_equal(g2.csr_offsets, graph.csr_offsets)
@@ -53,18 +54,12 @@ class TestDatasetIO:
         np.testing.assert_array_equal(y2.labels, labels.labels)
         assert y2.num_classes == labels.num_classes
 
-    def test_summary_printed(self, tmp_path, capsys):
-        graph, features, labels = small_csbm()
-        save_dataset(tmp_path / "ds", graph, features, labels)
-        load_dataset(tmp_path / "ds")
-        out = capsys.readouterr().out
-        assert f"nodes={graph.num_nodes}" in out
-        assert "edge_homophily=" in out
-
-    def test_all_same_label_homophily_one(self):
+    def test_all_same_label_homophily_one(self, tmp_path):
         graph = build_graph([(0, 1), (1, 2)], 3)
         labels = LabelVector(labels=np.zeros(3, dtype=np.int64), num_classes=2)
-        assert "edge_homophily=1.0000" in dataset_summary(graph, labels)
+        save_dataset(tmp_path / "ds", graph, np.zeros((3, 1)), labels)
+        g2, _, y2 = load_dataset(tmp_path / "ds")
+        assert measured_edge_homophily(g2, y2) == 1.0
 
     def test_malformed_edge_line_reports_number(self, tmp_path):
         graph, features, labels = small_csbm()
@@ -74,14 +69,14 @@ class TestDatasetIO:
         lines.insert(2, "3 4 5")
         edge_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"edges\.txt:3"):
-            load_dataset(d, quiet=True)
+            load_dataset(d)
 
     def test_non_integer_node_id(self, tmp_path):
         graph, features, labels = small_csbm()
         d = save_dataset(tmp_path / "ds", graph, features, labels)
         (d / "edges.txt").write_text("0 1\nfoo 2\n")
         with pytest.raises(ValueError, match=r"edges\.txt:2"):
-            load_dataset(d, quiet=True)
+            load_dataset(d)
 
     def test_comma_separated_edges_accepted(self, tmp_path):
         graph, features, labels = small_csbm()
@@ -89,7 +84,7 @@ class TestDatasetIO:
         pairs = graph.edges()
         text = "# comment\n" + "\n".join(f"{u},{v}" for u, v in pairs) + "\n"
         (d / "edges.txt").write_text(text)
-        g2, _, _ = load_dataset(d, quiet=True)
+        g2, _, _ = load_dataset(d)
         np.testing.assert_array_equal(g2.csr_neighbors, graph.csr_neighbors)
 
     def test_feature_label_count_mismatch(self, tmp_path):
@@ -98,7 +93,7 @@ class TestDatasetIO:
         text = (d / "features.csv").read_text().splitlines()
         (d / "features.csv").write_text("\n".join(text[:-1]) + "\n")
         with pytest.raises(ValueError, match="feature rows"):
-            load_dataset(d, quiet=True)
+            load_dataset(d)
 
     def test_ragged_feature_row(self, tmp_path):
         graph, features, labels = small_csbm()
@@ -107,7 +102,7 @@ class TestDatasetIO:
         lines[4] = lines[4] + ",0.0"
         (d / "features.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"features\.csv:5"):
-            load_dataset(d, quiet=True)
+            load_dataset(d)
 
     def test_bad_label_line(self, tmp_path):
         graph, features, labels = small_csbm()
@@ -116,16 +111,16 @@ class TestDatasetIO:
         lines[0] = "zero"
         (d / "labels.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"labels\.csv:1"):
-            load_dataset(d, quiet=True)
+            load_dataset(d)
 
     def test_missing_directory_and_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_dataset(tmp_path / "nope", quiet=True)
+            load_dataset(tmp_path / "nope")
         graph, features, labels = small_csbm()
         d = save_dataset(tmp_path / "ds", graph, features, labels)
         (d / "labels.csv").unlink()
         with pytest.raises(FileNotFoundError, match="labels.csv"):
-            load_dataset(d, quiet=True)
+            load_dataset(d)
 
 
 class TestExperimentSpec:
@@ -159,7 +154,7 @@ class TestGenerate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["seed"] == 3 and meta["kind"] == "csbm"
         assert 0.0 <= meta["measured_edge_homophily"] <= 1.0
-        graph, features, labels = load_dataset(out, quiet=True)
+        graph, features, labels = load_dataset(out)
         direct = small_csbm(seed=3)
         np.testing.assert_array_equal(features, direct[1])
         np.testing.assert_array_equal(labels.labels, direct[2].labels)
@@ -252,7 +247,7 @@ class TestSweepDegreeThreshold:
         mu0, mu1 = canonical_prototypes(4.0, 4)
         csbm = CsbmParams(n0=40, n1=40, mu0=mu0, mu1=mu1, sigma=1.0,
                           p_in=p_in, p_out=p_out)
-        tc = TrainConfig(epochs=10, lr=0.01, hidden_dim=8, seeds=(0, 1))
+        tc = TrainConfig(epochs=10, lr=0.01)
         bb = BackboneConfig(kind="gcn_symnorm", layers=2, hidden_dim=8,
                             dropout=0.0)
         cfg = AdGnnConfig(t_max=2, backbone=bb, variant="fast_degree",
@@ -457,6 +452,34 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload) == 2
         assert set(payload[0]) >= {"d_plus", "alpha", "rel_err_signal"}
+
+    def test_stdout_is_exactly_the_table(self, tmp_path, capsys):
+        # a config naming a dataset used to print the loader's summary line
+        # above the header
+        graph, features, labels = small_csbm()
+        save_dataset(tmp_path / "ds", graph, features, labels)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"data": str(tmp_path / "ds"),
+                                   "epochs": 3, "hidden": 8}))
+        out = tmp_path / "r.csv"
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0,1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0,1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_bytes().decode()
+        assert captured.out.startswith("seed,test_accuracy,")
+        assert captured.err == ""
+
+    def test_json_format_on_stdout(self, tmp_path, capsys):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"n0": 30, "n1": 30, "mean_degree": 4.0,
+                                   "dim": 4}))
+        assert main(["profile-depth-benefit", "--config", str(cfg),
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload and set(payload[0]) == {"degree", "mean_log_benefit",
+                                               "node_count"}
 
     def test_malformed_seeds_flag(self, capsys):
         assert main(["train-eval", "--seeds", "1,x"]) == 2
