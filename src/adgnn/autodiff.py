@@ -34,20 +34,14 @@ __all__ = [
     "add",
     "sub",
     "elementwise_mul",
-    "div",
     "scalar_mul",
     "relu",
     "sigmoid",
     "softplus",
-    "log",
-    "clamp_min",
     "abs_diff",
     "concat_cols",
     "row_gather",
-    "segment_sum",
     "mean_all",
-    "vec_min",
-    "vec_max",
     "where_rows",
     "dropout",
     "spmm_mean_self",
@@ -241,18 +235,6 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    scalar_b = _check_scalar_or_same(a, b, "div")
-    out = _out(a.values / b.values, a, b)
-
-    def bwd(g):
-        return (g / b.values if a.requires_grad else None,
-                _unbroadcast(-g * a.values / (b.values * b.values), scalar_b)
-                if b.requires_grad else None)
-
-    return _emit(out, (a, b), bwd)
-
-
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = _out(a.values * c, a)
@@ -288,28 +270,6 @@ def softplus(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * expit(a.values),)
-
-    return _emit(out, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log; callers clamp first when inputs can touch zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _out(np.log(a.values), a)
-
-    def bwd(g):
-        return (g / a.values,)
-
-    return _emit(out, (a,), bwd)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    floor = float(floor)
-    open_mask = a.values > floor
-    out = _out(np.where(open_mask, a.values, floor), a)
-
-    def bwd(g):
-        return (g * open_mask,)
 
     return _emit(out, (a,), bwd)
 
@@ -350,28 +310,11 @@ def row_gather(a: Tensor, indices: np.ndarray) -> Tensor:
     out = _out(a.values[idx], a)
 
     def bwd(g):
-        acc = np.zeros_like(a.values)
-        np.add.at(acc, idx, g)
+        # a repeated index sums its gradient rows in index order
+        acc = np.empty_like(a.values)
+        for j in range(a.shape[1]):
+            acc[:, j] = np.bincount(idx, weights=g[:, j], minlength=a.shape[0])
         return (acc,)
-
-    return _emit(out, (a,), bwd)
-
-
-def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of `a` into `num_segments` buckets given per-row ids."""
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape != (a.shape[0],):
-        raise ValueError("segment_sum: one segment id per row required")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ValueError("segment_sum: segment id out of range")
-    # bincount sums each bucket in row order, as np.add.at does, but faster
-    acc = np.zeros((num_segments, a.shape[1]))
-    for j in range(a.shape[1]):
-        acc[:, j] = np.bincount(seg, weights=a.values[:, j], minlength=num_segments)
-    out = _out(acc, a)
-
-    def bwd(g):
-        return (g[seg],)
 
     return _emit(out, (a,), bwd)
 
@@ -386,29 +329,6 @@ def mean_all(a: Tensor) -> Tensor:
         return (np.full(a.shape, g[0, 0] / size),)
 
     return _emit(out, (a,), bwd)
-
-
-def _vec_extreme(a: Tensor, argpick) -> Tensor:
-    if a.values.size == 0:
-        raise ValueError("extreme of an empty tensor")
-    flat_idx = int(argpick(a.values))
-    out = _out(np.array([[a.values.reshape(-1)[flat_idx]]]), a)
-
-    def bwd(g):
-        acc = np.zeros_like(a.values)
-        acc.reshape(-1)[flat_idx] = g[0, 0]
-        return (acc,)
-
-    return _emit(out, (a,), bwd)
-
-
-def vec_min(a: Tensor) -> Tensor:
-    """Minimum over all entries; subgradient flows to the first minimizer."""
-    return _vec_extreme(a, np.argmin)
-
-
-def vec_max(a: Tensor) -> Tensor:
-    return _vec_extreme(a, np.argmax)
 
 
 def where_rows(row_condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

@@ -133,9 +133,8 @@ def local_clustering(graph: Graph) -> np.ndarray:
     """Local clustering coefficient: closed wedge fraction, 0 below degree 2."""
     deg = degrees(graph)
     cn = _common_neighbor_counts(graph)
-    triangles = np.zeros(graph.num_nodes)
-    np.add.at(triangles, graph.arc_sources(), cn)
-    triangles /= 2.0
+    triangles = np.bincount(graph.arc_sources(), weights=cn,
+                            minlength=graph.num_nodes) / 2.0
     denom = deg * (deg - 1) / 2.0
     return np.divide(triangles, denom, out=np.zeros_like(triangles), where=denom > 0)
 

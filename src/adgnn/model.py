@@ -26,36 +26,27 @@ from scipy.special import expit
 
 from .autodiff import (
     Tensor,
+    _emit,
+    _out,
     abs_diff,
     add,
     binary_cross_entropy,
-    clamp_min,
     concat_cols,
-    div,
     elementwise_mul,
-    log,
     matmul,
     relu,
     row_gather,
     scalar_mul,
-    segment_sum,
     sigmoid,
     softplus,
     sub,
     tensor,
-    vec_max,
-    vec_min,
     where_rows,
 )
 from .backbones import BackboneConfig, dense_forward, glorot, layer_forward
 from .graph import Graph, degrees
 from .heuristics import HEURISTIC_NAMES, degree_similarity, heuristic_similarity
-from .theory import (
-    _ALPHA_FLOOR,
-    estimated_alpha,
-    log_benefit_scores,
-    minmax_normalize,
-)
+from .theory import estimated_alpha, log_benefit_scores, minmax_normalize
 
 __all__ = [
     "VARIANTS",
@@ -203,12 +194,12 @@ class AdGnnConfig:
             raise ValueError(f"heuristic_name must be one of {HEURISTIC_NAMES}")
         if self.gating not in GATING_MODES:
             raise ValueError(f"gating must be one of {GATING_MODES}")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError("temperature must be finite and positive")
         if self.head_hidden < 1:
             raise ValueError("head_hidden must be positive")
-        if self.beta <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("calibration factors must be positive")
+        if not all(np.isfinite(c) and c > 0.0 for c in (self.beta, self.gamma)):
+            raise ValueError("calibration factors must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -335,8 +326,8 @@ def _per_node_calibration(
     gamma = np.asarray(calibration[1], dtype=np.float64).reshape(-1)
     if beta.shape != (num_nodes,) or gamma.shape != (num_nodes,):
         raise ValueError("calibration arrays must carry one value per node")
-    if (beta <= 0).any() or (gamma <= 0).any():
-        raise ValueError("calibration factors must be positive")
+    if not np.all(np.isfinite(beta) & np.isfinite(gamma) & (beta > 0) & (gamma > 0)):
+        raise ValueError("calibration factors must be finite and positive")
     return beta, gamma
 
 
@@ -368,35 +359,43 @@ def _soft_scores(
     beta: np.ndarray,
     gamma: np.ndarray,
 ) -> Tensor:
-    """Normalized depth scores on the tape: the one score path.
+    """Normalized depth scores as one tape node: the one score path.
 
-    The soft gates read these values and the plan their detached copy,
-    so training tunes the thresholds on the scores evaluation cuts.  A
-    sentinel node (|alpha| <= _ALPHA_FLOOR) scores 0 and stays out of the
-    min-max range, as in minmax_normalize; its floored log keeps the tape
-    finite.  The degenerate guards read detached values only.
+    The forward is the closed form (expected_label_counts, estimated_alpha,
+    log_benefit_scores, minmax_normalize), so the soft gates and the plan
+    read the same values.  The backward differentiates it by hand.  A
+    sentinel node (-inf log benefit) scores 0 and gets no gradient; the
+    subgradient of the min-max range flows to the first live minimizer and
+    maximizer.  With no live node or a zero range the scores carry no
+    gradient and stay off the tape.
     """
-    n = graph.num_nodes
-    d_plus = segment_sum(arc_probs, graph.arc_sources(), n)
-    alpha = elementwise_mul(
-        add(scalar_mul(d_plus, 2.0), tensor((1.0 - deg).reshape(-1, 1))),
-        tensor((1.0 / (deg + 1.0)).reshape(-1, 1)),
-    )
-    log_abs = log(clamp_min(abs_diff(alpha, tensor(np.zeros((n, 1)))), _ALPHA_FLOOR))
-    const_col = np.log(deg + 1.0) + np.log(beta) - np.log(gamma)
-    score = scalar_mul(
-        add(scalar_mul(log_abs, 2.0), tensor(const_col.reshape(-1, 1))),
-        float(t_max),
-    )
-    live = np.abs(alpha.values[:, 0]) > _ALPHA_FLOOR
-    if not live.any():
-        return tensor(np.zeros((n, 1)))
-    ranged = score if live.all() else row_gather(score, np.flatnonzero(live))
-    if ranged.values.max() - ranged.values.min() <= 0.0:
-        return tensor(live.astype(np.float64).reshape(-1, 1))
-    lo, hi = vec_min(ranged), vec_max(ranged)
-    eps = div(sub(score, lo), sub(hi, lo))
-    return eps if live.all() else where_rows(live, eps, tensor(np.zeros((n, 1))))
+    d_plus, d_minus = expected_label_counts(graph, arc_probs.values)
+    alpha = estimated_alpha(d_plus, d_minus, deg)
+    score = log_benefit_scores(alpha, deg, t_max, beta, gamma)
+    eps = minmax_normalize(score)
+    live = np.flatnonzero(np.isfinite(score))
+    if live.size == 0:
+        return tensor(eps)
+    lo = live[np.argmin(score[live])]
+    hi = live[np.argmax(score[live])]
+    span = score[hi] - score[lo]
+    if span == 0.0:
+        return tensor(eps)
+
+    def bwd(g):
+        # eps_v = (s_v - s_lo) / span on the live rows
+        g_live = g[live, 0]
+        g_score = np.zeros_like(score)
+        g_score[live] = g_live / span
+        g_score[lo] += g_live @ (eps[live] - 1.0) / span
+        g_score[hi] -= g_live @ eps[live] / span
+        # s_v = t_max (2 ln|alpha_v| + c_v), d alpha_v / d d+_v = 2 / (d_v + 1)
+        g_alpha = np.zeros_like(score)
+        g_alpha[live] = 2.0 * t_max * g_score[live] / alpha[live]
+        g_d_plus = g_alpha * 2.0 / (deg + 1.0)
+        return (g_d_plus[graph.arc_sources()].reshape(-1, 1),)
+
+    return _emit(_out(eps, arc_probs), (arc_probs,), bwd)
 
 
 def _soft_threshold(

@@ -84,10 +84,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be finite and positive")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError("weight_decay must be finite and non-negative")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("patience must be positive when set")
 

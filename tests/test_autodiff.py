@@ -56,8 +56,8 @@ class TestForwardValues:
     def test_debug_mode_traps_nonfinite(self):
         ad.set_debug(True)
         try:
-            with pytest.raises(FloatingPointError):
-                ad.log(tensor([[0.0]]))
+            with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+                ad.sub(tensor([[np.inf]]), tensor([[np.inf]]))
         finally:
             ad.set_debug(False)
 
@@ -84,6 +84,21 @@ class TestTape:
         grads = backward(tape, loss)
         assert np.all(grads[a][~cond] == 0.0)
         assert np.all(grads[b][cond] == 0.0)
+
+    def test_gather_gradient_matches_add_at(self):
+        # repeated indices sum their gradient rows in index order, bit for
+        # bit as an unbuffered np.add.at does
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a = rand_tensor(rng, 7, 3)
+            idx = rng.integers(0, 7, size=25)
+            scale = 10.0 ** rng.integers(-8, 8, (25, 1))
+            w = tensor(rng.standard_normal((25, 3)) * scale)
+            with Tape() as tape:
+                loss = ad.mean_all(ad.elementwise_mul(ad.row_gather(a, idx), w))
+            expected = np.zeros((7, 3))
+            np.add.at(expected, idx, (1.0 / w.values.size) * w.values)
+            np.testing.assert_array_equal(backward(tape, loss)[a], expected)
 
     def test_backward_requires_recording(self):
         t = Tape()
@@ -169,7 +184,7 @@ class TestGradChecks:
 
     def test_scalar_broadcast_ops(self):
         def case(rng):
-            op = [ad.add, ad.sub, ad.elementwise_mul, ad.div][int(rng.integers(4))]
+            op = [ad.add, ad.sub, ad.elementwise_mul][int(rng.integers(3))]
             a = rand_tensor(rng, 4, 2)
             s = tensor(rng.uniform(0.5, 2.0, (1, 1)), requires_grad=True)
             w = tensor(rng.standard_normal((4, 2)))
@@ -177,43 +192,29 @@ class TestGradChecks:
 
         self.run_many(case, 12)
 
-    def test_div_same_shape(self):
-        def case(rng):
-            a = rand_tensor(rng, 3, 3)
-            b = tensor(rng.uniform(0.5, 2.0, (3, 3)), requires_grad=True)
-            w = tensor(rng.standard_normal((3, 3)))
-            return (lambda: scalarize(ad.div(a, b), w)), [a, b]
-
-        self.run_many(case, 13)
-
     def test_unary(self):
         def case(rng):
-            pick = int(rng.integers(4))
+            pick = int(rng.integers(3))
             if pick == 0:
                 a = rand_tensor(rng, 3, 4, shift=2.5)  # keep relu away from kink
                 op = ad.relu
             elif pick == 1:
                 a = rand_tensor(rng, 3, 4)
                 op = ad.sigmoid
-            elif pick == 2:
+            else:
                 a = rand_tensor(rng, 3, 4)
                 op = ad.softplus
-            else:
-                a = tensor(rng.uniform(0.5, 3.0, (3, 4)), requires_grad=True)
-                op = ad.log
             w = tensor(rng.standard_normal((3, 4)))
             return (lambda: scalarize(op(a), w)), [a]
 
         self.run_many(case, 14)
 
-    def test_scalar_mul_and_clamp(self):
+    def test_scalar_mul(self):
         def case(rng):
-            a = rand_tensor(rng, 3, 4, shift=1.0)
+            a = rand_tensor(rng, 3, 4)
             c = float(rng.uniform(-2, 2))
             w = tensor(rng.standard_normal((3, 4)))
-            return (
-                lambda: scalarize(ad.clamp_min(ad.scalar_mul(a, c), -0.5), w)
-            ), [a]
+            return (lambda: scalarize(ad.scalar_mul(a, c), w)), [a]
 
         self.run_many(case, 15)
 
@@ -236,24 +237,6 @@ class TestGradChecks:
             ), [a, b]
 
         self.run_many(case, 17)
-
-    def test_segment_sum(self):
-        def case(rng):
-            a = rand_tensor(rng, 8, 2)
-            seg = np.sort(rng.integers(0, 4, size=8))
-            w = tensor(rng.standard_normal((4, 2)))
-            return (lambda: scalarize(ad.segment_sum(a, seg, 4), w)), [a]
-
-        self.run_many(case, 18)
-
-    def test_extremes(self):
-        def case(rng):
-            vals = rng.permutation(9).astype(float).reshape(3, 3)  # unique entries
-            a = tensor(vals + rng.uniform(-0.2, 0.2), requires_grad=True)
-            op = ad.vec_min if rng.integers(2) else ad.vec_max
-            return (lambda: op(a)), [a]
-
-        self.run_many(case, 19)
 
     def test_where_rows(self):
         def case(rng):

@@ -24,6 +24,8 @@ from adgnn.datasets import load_dataset, save_dataset
 from adgnn.drivers import ExperimentSpec, execute
 from adgnn.graph import LabelVector, build_graph, make_split
 from adgnn.heuristics import HEURISTIC_NAMES
+from adgnn import model
+from adgnn.autodiff import tensor
 from adgnn.model import AdGnnConfig
 from adgnn.backbones import BackboneConfig
 from adgnn.train import TrainConfig, train_model
@@ -433,6 +435,20 @@ class TestCli:
         assert main(["sweep-homophily", "--config", str(cfg)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        ['"model": "modified", "beta": 1e400',
+         '"model": "learned", "temperature": NaN',
+         '"lr": NaN'],
+        ids=["beta_inf", "temperature_nan", "lr_nan"],
+    )
+    def test_non_finite_config_float_exits_2(self, tmp_path, capsys, bad):
+        # JSON admits NaN and overflows 1e400 to inf; both are config errors
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + bad + "}")
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_seeds_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**TINY, "grid": [0.9], "seeds": [5, 6, 7]}))
@@ -487,17 +503,39 @@ class TestCli:
 
 
 class TestBenchmarkTraceTargets:
-    def test_every_traced_global_resolves(self, monkeypatch):
-        # perfbench/tracing.py rebinds these module globals for --trace 1
-        # runs; a refactor that drops one crashes every traced benchmark run
+    @pytest.fixture
+    def tracing(self, monkeypatch):
         path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         # its dataclasses look their module up while being built
         monkeypatch.setitem(sys.modules, spec.name, tracing)
         spec.loader.exec_module(tracing)
+        return tracing
+
+    def test_every_traced_global_resolves(self, tracing):
+        # perfbench/tracing.py rebinds these module globals for --trace 1
+        # runs; a refactor that drops one crashes every traced benchmark run
         targets = tracing.targets(full=True)
         assert len(targets) > 20
         for module_name, attr, *_ in targets:
             module = importlib.import_module(f"adgnn.{module_name}")
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+    def test_traced_plan_globals_are_reached(self, tracing, monkeypatch):
+        # model.plan_s times these globals; one the forward stops calling
+        # silently moves its work to another span
+        called = set()
+        for name in tracing._PLAN_FUNCTIONS:
+            fn = getattr(model, name)
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                called.add(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, spy)
+        graph, features, _ = small_csbm()
+        cfg = AdGnnConfig(t_max=2, backbone=BackboneConfig(layers=2, hidden_dim=8))
+        params = model.init_adgnn_params(cfg, features.shape[1], 2, seed=0)
+        model.forward(cfg, params, graph, tensor(features))
+        assert sorted(set(tracing._PLAN_FUNCTIONS) - called) == []

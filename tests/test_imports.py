@@ -1,9 +1,14 @@
-"""Every imported name is used.
+"""Every imported name is used, and every private name in the package is.
 
 A name bound by an import must be referenced somewhere in its file, or
 listed in the file's ``__all__`` (a module's deliberate re-exports, which
 other modules and the benchmark's tracing reach through it).  String
 annotations count as references; other strings do not.
+
+A module-level private name (``_helper``, ``_CONSTANT``) in ``src/adgnn``
+must be read somewhere in the package: in its own module, or by another
+module that imports it or reaches it as an attribute.  Deleting the last
+caller of a helper leaves such an orphan behind.
 """
 
 import ast
@@ -12,6 +17,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src/adgnn").glob("*.py"))
 SOURCES = sorted(
     path
     for folder in ("src/adgnn", "tests", "demos")
@@ -49,14 +55,19 @@ def _annotations(tree: ast.AST):
             yield node.returns
 
 
-def _referenced(tree: ast.AST) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _string_annotation_names(tree: ast.AST) -> set[str]:
+    names = set()
     for annotation in _annotations(tree):
         for node in ast.walk(annotation) if annotation is not None else ():
             # a string annotation such as "Tape | None"
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used |= _referenced(ast.parse(node.value, mode="eval"))
-    return used
+                names |= _referenced(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | _string_annotation_names(tree)
 
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
@@ -64,6 +75,45 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     keep = _referenced(tree) | _exported(tree)
     return sorted(
         (name, line) for name, line in _imported(tree).items() if name not in keep
+    )
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names a module reads: loads, attributes, imported names and string
+    annotations; a module-level binding alone does not count."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return read | set(_imported(tree)) | _string_annotation_names(tree)
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each module-level private name that no
+    module of `sources` (module name -> source text) reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*(_read(tree) for tree in trees.values()))
+    return sorted(
+        (module, name, line)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
     )
 
 
@@ -77,6 +127,23 @@ def test_scanner_flags_only_unused_names():
     assert unused_imports(source) == [("b", 3), ("os", 1)]
 
 
+def test_private_scanner_flags_only_orphans():
+    sources = {
+        "a": "_LIMIT = 1\n_orphan = 2\n\ndef _helper():\n    return _LIMIT\n"
+             "\ndef _shared():\n    pass\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _helper\nfrom . import a\n_x: '_Hint' = a._shared\n"
+             "\nclass _Hint:\n    pass\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a", "_Gone", 10), ("a", "_orphan", 2), ("b", "_x", 3),
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unreferenced_private_names(sources) == []

@@ -27,7 +27,7 @@ from adgnn.model import (
     total_loss,
     trunk_params,
 )
-from adgnn.theory import log_depth_benefit, signal_preservation_factor
+from adgnn.theory import _ALPHA_FLOOR, log_depth_benefit, signal_preservation_factor
 from gradcheck import REL_TOL, check_gradients
 
 
@@ -337,6 +337,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             config(beta=0.0)
 
+    @pytest.mark.parametrize("field", ["temperature", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            config(**{field: value})
+
     def test_param_layout(self):
         cfg = config(t_max=2, kind="sage_mean")
         params = init_adgnn_params(cfg, 5, 3, seed=0)
@@ -474,12 +480,10 @@ class TestForwardSemantics:
         tau = threshold_values(threshold_function(cfg, params), 4)
         manual = assign_stopping_depths(eps, tau)
         np.testing.assert_array_equal(res.plan.stopping_depth, manual.stopping_depth)
-        # the plan cuts the tape scores, which round differently from the
-        # closed form in the last bits
+        np.testing.assert_array_equal(res.plan.normalized_scores, eps)
         deg = degrees(g).astype(np.float64)
         tape = mod._soft_scores(tensor(probs), g, deg, 4, np.ones(15), np.ones(15))
-        np.testing.assert_array_equal(res.plan.normalized_scores, tape.values[:, 0])
-        np.testing.assert_allclose(res.plan.normalized_scores, eps, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(tape.values[:, 0], eps)
         np.testing.assert_array_equal(res.arc_probs.values.reshape(-1), probs)
 
     def test_global_calibration_never_moves_the_plan(self):
@@ -535,6 +539,12 @@ class TestForwardSemantics:
                 mcfg, params, g, tensor(np.zeros((6, 4))),
                 calibration=(np.ones(3), np.ones(6)),
             )
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                forward(
+                    mcfg, params, g, tensor(np.zeros((6, 4))),
+                    calibration=(np.ones(6), np.full(6, bad)),
+                )
 
     def test_heuristic_variant_runs(self):
         rng = np.random.default_rng(21)
@@ -748,8 +758,8 @@ class TestOneScorePath:
         ref = minmax_normalize(
             log_benefit_scores(alpha, deg, cfg.t_max, beta, gamma)
         )
-        np.testing.assert_allclose(soft, ref, rtol=0.0, atol=1e-12)
-        sentinel = np.abs(alpha) <= mod._ALPHA_FLOOR
+        np.testing.assert_array_equal(soft, ref)
+        sentinel = np.abs(alpha) <= _ALPHA_FLOOR
         assert np.all(soft[sentinel] == 0.0)
         return alpha, soft
 
@@ -791,7 +801,7 @@ class TestOneScorePath:
         alpha, soft = self.check_soft_equals_plan(
             cfg, model_params, g, tensor(features)
         )
-        noise = (alpha != 0.0) & (np.abs(alpha) <= mod._ALPHA_FLOOR)
+        noise = (alpha != 0.0) & (np.abs(alpha) <= _ALPHA_FLOOR)
         assert noise.any()
         assert np.all(soft[noise] == 0.0)
         assert soft[~noise].min() == 0.0 and soft.max() == 1.0

@@ -70,6 +70,10 @@ class TestTrainConfig:
             {"lr": -1.0},
             {"weight_decay": -0.1},
             {"early_stop_patience": 0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
