@@ -32,12 +32,9 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "sub",
     "elementwise_mul",
-    "scalar_mul",
     "relu",
     "sigmoid",
-    "softplus",
     "abs_diff",
     "concat_cols",
     "row_gather",
@@ -213,17 +210,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    scalar_b = _check_scalar_or_same(a, b, "sub")
-    out = _out(a.values - b.values, a, b)
-
-    def bwd(g):
-        return (g if a.requires_grad else None,
-                _unbroadcast(-g, scalar_b) if b.requires_grad else None)
-
-    return _emit(out, (a, b), bwd)
-
-
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     scalar_b = _check_scalar_or_same(a, b, "elementwise_mul")
     out = _out(a.values * b.values, a, b)
@@ -233,16 +219,6 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(g * a.values, scalar_b) if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
-
-
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = _out(a.values * c, a)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _emit(out, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -261,15 +237,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * s * (1.0 - s),)
-
-    return _emit(out, (a,), bwd)
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = _out(np.logaddexp(0.0, a.values), a)
-
-    def bwd(g):
-        return (g * expit(a.values),)
 
     return _emit(out, (a,), bwd)
 
@@ -400,10 +367,10 @@ def _spmm(graph: Graph, h: Tensor, kind: str) -> Tensor:
         raise ValueError("feature rows must match node count")
     op = _operator(graph, kind)
     out = _out(op @ h.values, h)
-    op_t = op.T.tocsr()
 
     def bwd(g):
-        return (op_t @ g,)
+        # the transpose of a CSR matrix is a CSC view; nothing is copied
+        return (op.T @ g,)
 
     return _emit(out, (h,), bwd)
 
@@ -481,27 +448,24 @@ def binary_cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
 # optimizer
 
 
+# Adam's moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam accumulators; one slot per parameter name."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
 
-def init_optimizer(
-    params: dict[str, Tensor],
-    lr: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
-    state = OptimizerState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_optimizer(params: dict[str, Tensor], lr: float = 0.01) -> OptimizerState:
+    state = OptimizerState(lr=lr)
     for name, p in params.items():
         state.first_moment[name] = np.zeros_like(p.values)
         state.second_moment[name] = np.zeros_like(p.values)
@@ -527,11 +491,11 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for {name!r}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return params

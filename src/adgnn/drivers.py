@@ -111,6 +111,8 @@ _MODEL_DEFAULTS = {
     "gamma": 1.0,
 }
 _MODEL_KEYS = frozenset(_MODEL_DEFAULTS)
+# the model keys a plain backbone has no use for
+_ADAPTIVE_KEYS = _MODEL_KEYS - {"model", "kind", "layers"}
 
 _MODEL_NAMES = ("plain", "learned", "fast_degree", "heuristic", "modified")
 
@@ -282,6 +284,9 @@ def run_train(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     allowed = _CSBM_KEYS | _TRAIN_KEYS | _MODEL_KEYS | {"data"}
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
+    ignored = sorted(_ADAPTIVE_KEYS & set(cfg))
+    if cfg.get("model", "plain") == "plain" and ignored:
+        raise ValueError(f"config keys {ignored} apply only to adaptive models")
     tc = _train_config(cfg)
     model_cfg = _model_config(cfg)
     results = _train_seeds(

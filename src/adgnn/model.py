@@ -36,10 +36,7 @@ from .autodiff import (
     matmul,
     relu,
     row_gather,
-    scalar_mul,
     sigmoid,
-    softplus,
-    sub,
     tensor,
     where_rows,
 )
@@ -284,13 +281,18 @@ def expected_label_counts(
     return d_plus, degrees(graph) - d_plus
 
 
+def _curve_sigmoid(tf: ThresholdFunction, t_max: int) -> np.ndarray:
+    """sigmoid(softplus(slope_raw) * t + intercept_raw) for t = 1..t_max."""
+    t = np.arange(1, t_max + 1, dtype=np.float64)
+    slope = np.logaddexp(0.0, tf.slope_raw.item())
+    return expit(slope * t + tf.intercept_raw.item())
+
+
 def threshold_values(tf: ThresholdFunction, t_max: int) -> np.ndarray:
     """tau(1..t_max), monotone non-decreasing within [lambda_weight, 1]."""
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    t = np.arange(1, t_max + 1, dtype=np.float64)
-    slope = np.logaddexp(0.0, tf.slope_raw.item())
-    theta = expit(slope * t + tf.intercept_raw.item())
+    theta = _curve_sigmoid(tf, t_max)
     return tf.lambda_weight + (1.0 - tf.lambda_weight) * theta
 
 
@@ -398,14 +400,57 @@ def _soft_scores(
     return _emit(_out(eps, arc_probs), (arc_probs,), bwd)
 
 
-def _soft_threshold(
-    tf: ThresholdFunction, slope: Tensor, t: int
+def _thresholds(tf: ThresholdFunction, t_max: int) -> Tensor:
+    """tau(1..t_max) as one (t_max, 1) tape node: the one threshold path.
+
+    The forward is threshold_values, so the soft gates and the plan read
+    the same thresholds.  The backward sums each layer's term into the two
+    raw parameters, newest layer first, and applies the softplus
+    derivative to the slope once.
+    """
+    theta = _curve_sigmoid(tf, t_max).reshape(-1, 1)
+    tau = threshold_values(tf, t_max).reshape(-1, 1)
+    t = np.arange(1, t_max + 1, dtype=np.float64).reshape(-1, 1)
+
+    def bwd(g):
+        # d tau_t / d z_t with z_t = softplus(slope_raw) * t + intercept_raw
+        g_z = g * (1.0 - tf.lambda_weight) * theta * (1.0 - theta)
+        # a running sum adds the layers strictly newest first; np.sum
+        # would pair them and round differently
+        g_intercept = np.cumsum(g_z[::-1])[-1]
+        g_slope = np.cumsum((g_z * t)[::-1])[-1] * expit(tf.slope_raw.values)
+        return (g_slope if tf.slope_raw.requires_grad else None,
+                g_intercept.reshape(1, 1) if tf.intercept_raw.requires_grad else None)
+
+    return _emit(_out(tau, tf.slope_raw, tf.intercept_raw),
+                 (tf.slope_raw, tf.intercept_raw), bwd)
+
+
+def _soft_gate(
+    eps: Tensor, tau: Tensor, t: int, temperature: float, update: Tensor, h: Tensor
 ) -> Tensor:
-    theta = sigmoid(add(scalar_mul(slope, float(t)), tf.intercept_raw))
-    return add(
-        tensor([[tf.lambda_weight]]),
-        scalar_mul(theta, 1.0 - tf.lambda_weight),
-    )
+    """h + sigmoid((eps - tau_t) / temperature) * (update - h) as one tape
+    node: a row whose score clears layer t's threshold takes the update,
+    a row below it keeps h."""
+    inv_temp = 1.0 / temperature
+    s = expit((eps.values - tau.values[t - 1, 0]) * inv_temp)
+    diff = update.values - h.values
+
+    def bwd(g):
+        g_update = g * s
+        # sum the columns by a matmul with a ones column: .sum(axis=1)
+        # pairs them differently and moves the tables in the last bits
+        g_s = (g * diff) @ np.ones((diff.shape[1], 1))
+        g_eps = g_s * s * (1.0 - s) * inv_temp
+        g_tau = np.zeros_like(tau.values)
+        g_tau[t - 1, 0] = (-g_eps).sum()
+        # h is listed twice so its two terms reach it one at a time
+        return (g, g_update, -g_update,
+                g_eps if eps.requires_grad else None,
+                g_tau if tau.requires_grad else None)
+
+    out = _out(h.values + s * diff, h, update, eps, tau)
+    return _emit(out, (h, update, h, eps, tau), bwd)
 
 
 def forward(
@@ -444,7 +489,10 @@ def forward(
     scored = arc_probs if soft else tensor(arc_probs.values)
     eps = _soft_scores(scored, graph, deg, cfg.t_max, beta, gamma)
     tf = threshold_function(cfg, params)
-    if depth_override is not None:
+    if soft:
+        tau = _thresholds(tf, cfg.t_max)
+        plan = assign_stopping_depths(eps.values[:, 0], tau.values)
+    elif depth_override is not None:
         plan = DepthPlan(
             np.asarray(depth_override, dtype=np.int64), eps.values[:, 0], cfg.t_max
         )
@@ -453,10 +501,6 @@ def forward(
             eps.values[:, 0], threshold_values(tf, cfg.t_max)
         )
 
-    if soft:
-        slope = softplus(tf.slope_raw)
-        ones_row = tensor(np.ones((1, bb.hidden_dim)))
-
     h = h0
     for t in range(1, cfg.t_max + 1):
         layer = {"weight": params[f"conv{t}.weight"]}
@@ -464,14 +508,7 @@ def forward(
             layer["weight_nbr"] = params[f"conv{t}.weight_nbr"]
         update = layer_forward(bb, layer, graph, h, True, dropout_rng)
         if soft:
-            gate = sigmoid(
-                scalar_mul(
-                    sub(eps, _soft_threshold(tf, slope, t)),
-                    1.0 / cfg.temperature,
-                )
-            )
-            tiled = matmul(gate, ones_row)
-            h = add(h, elementwise_mul(tiled, sub(update, h)))
+            h = _soft_gate(eps, tau, t, cfg.temperature, update, h)
         else:
             h = where_rows(plan.active_nodes(t), update, h)
 

@@ -169,23 +169,18 @@ def _init(cfg, in_dim: int, num_classes: int, seed: int) -> dict[str, Tensor]:
     return init_params(cfg, in_dim, num_classes, seed)
 
 
-def _train_output(cfg, params, graph, x, rng, depth_override, calibration):
+def _train_output(cfg, params, graph, x, rng, depth_override):
     if isinstance(cfg, AdGnnConfig):
         return forward(
-            cfg, params, graph, x,
-            dropout_rng=rng, depth_override=depth_override,
-            calibration=calibration,
+            cfg, params, graph, x, dropout_rng=rng, depth_override=depth_override
         )
     return plain_forward(cfg, params, graph, x, dropout_rng=rng)
 
 
-def _eval_logits(cfg, params, graph, x, depth_override, calibration):
+def _eval_logits(cfg, params, graph, x, depth_override):
     if isinstance(cfg, AdGnnConfig):
         hard = dataclasses.replace(cfg, gating="hard")
-        return forward(
-            hard, params, graph, x,
-            depth_override=depth_override, calibration=calibration,
-        )
+        return forward(hard, params, graph, x, depth_override=depth_override)
     return plain_forward(cfg, params, graph, x)
 
 
@@ -206,7 +201,6 @@ def fit_model(
     tc: TrainConfig,
     seed: int,
     depth_override: np.ndarray | None = None,
-    calibration: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SeedResult, dict[str, np.ndarray]]:
     """Train one seed and return its result plus the selected parameter
     values (the snapshot at the best validation epoch)."""
@@ -243,9 +237,7 @@ def fit_model(
                     ),
                 )
         with Tape() as tape:
-            out = _train_output(
-                epoch_cfg, params, graph, x, rng, depth_override, calibration
-            )
+            out = _train_output(epoch_cfg, params, graph, x, rng, depth_override)
             logits = out.logits if isinstance(out, ForwardResult) else out
             task = softmax_cross_entropy(logits, y, split.train)
             if needs_reg:
@@ -270,7 +262,7 @@ def fit_model(
         if policy_state is not None:
             adam_step(policy, named_grads, policy_state)
 
-        val_out = _eval_logits(cfg, params, graph, x, depth_override, calibration)
+        val_out = _eval_logits(cfg, params, graph, x, depth_override)
         val_logits = val_out.logits if isinstance(val_out, ForwardResult) else val_out
         val_acc = accuracy(val_logits, y, split.val)
         history.append(val_acc)
@@ -286,7 +278,7 @@ def fit_model(
 
     for k, p in params.items():
         p.values[:] = best_values[k]
-    final = _eval_logits(cfg, params, graph, x, depth_override, calibration)
+    final = _eval_logits(cfg, params, graph, x, depth_override)
     if isinstance(final, ForwardResult):
         test_acc = accuracy(final.logits, y, split.test)
         mean_depth = final.plan.mean_depth()
@@ -314,9 +306,8 @@ def train_model(
     tc: TrainConfig,
     seed: int,
     depth_override: np.ndarray | None = None,
-    calibration: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SeedResult:
-    return fit_model(cfg, data, split, tc, seed, depth_override, calibration)[0]
+    return fit_model(cfg, data, split, tc, seed, depth_override)[0]
 
 
 def multi_seed(

@@ -13,7 +13,7 @@ from adgnn.autodiff import (
     softmax_cross_entropy,
     tensor,
 )
-from adgnn.graph import build_graph
+from adgnn.graph import build_graph, degrees
 from gradcheck import REL_TOL, check_gradients
 
 
@@ -51,13 +51,13 @@ class TestForwardValues:
         a = tensor(np.ones((2, 3)))
         s = tensor([[2.0]])
         assert np.array_equal(ad.elementwise_mul(a, s).values, 2 * np.ones((2, 3)))
-        assert np.array_equal(ad.sub(a, s).values, -np.ones((2, 3)))
+        assert np.array_equal(ad.add(a, s).values, 3 * np.ones((2, 3)))
 
     def test_debug_mode_traps_nonfinite(self):
         ad.set_debug(True)
         try:
             with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-                ad.sub(tensor([[np.inf]]), tensor([[np.inf]]))
+                ad.add(tensor([[np.inf]]), tensor([[-np.inf]]))
         finally:
             ad.set_debug(False)
 
@@ -175,7 +175,7 @@ class TestGradChecks:
 
     def test_binary_elementwise(self):
         def case(rng):
-            op = [ad.add, ad.sub, ad.elementwise_mul][int(rng.integers(3))]
+            op = [ad.add, ad.elementwise_mul][int(rng.integers(2))]
             a, b = rand_tensor(rng, 3, 3), rand_tensor(rng, 3, 3)
             w = tensor(rng.standard_normal((3, 3)))
             return (lambda: scalarize(op(a, b), w)), [a, b]
@@ -184,7 +184,7 @@ class TestGradChecks:
 
     def test_scalar_broadcast_ops(self):
         def case(rng):
-            op = [ad.add, ad.sub, ad.elementwise_mul][int(rng.integers(3))]
+            op = [ad.add, ad.elementwise_mul][int(rng.integers(2))]
             a = rand_tensor(rng, 4, 2)
             s = tensor(rng.uniform(0.5, 2.0, (1, 1)), requires_grad=True)
             w = tensor(rng.standard_normal((4, 2)))
@@ -194,29 +194,16 @@ class TestGradChecks:
 
     def test_unary(self):
         def case(rng):
-            pick = int(rng.integers(3))
-            if pick == 0:
+            if rng.integers(2) == 0:
                 a = rand_tensor(rng, 3, 4, shift=2.5)  # keep relu away from kink
                 op = ad.relu
-            elif pick == 1:
-                a = rand_tensor(rng, 3, 4)
-                op = ad.sigmoid
             else:
                 a = rand_tensor(rng, 3, 4)
-                op = ad.softplus
+                op = ad.sigmoid
             w = tensor(rng.standard_normal((3, 4)))
             return (lambda: scalarize(op(a), w)), [a]
 
         self.run_many(case, 14)
-
-    def test_scalar_mul(self):
-        def case(rng):
-            a = rand_tensor(rng, 3, 4)
-            c = float(rng.uniform(-2, 2))
-            w = tensor(rng.standard_normal((3, 4)))
-            return (lambda: scalarize(ad.scalar_mul(a, c), w)), [a]
-
-        self.run_many(case, 15)
 
     def test_abs_diff(self):
         def case(rng):
@@ -363,6 +350,27 @@ class TestSpmmSemantics:
         out = ad.spmm_symnorm(g, tensor(h)).values
         out_perm = ad.spmm_symnorm(g_perm, tensor(h[inv])).values
         np.testing.assert_allclose(out_perm[perm], out, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, spmm",
+        [("mean_self", ad.spmm_mean_self), ("mean_nbr", ad.spmm_mean_nbr),
+         ("symnorm", ad.spmm_symnorm)],
+        ids=["mean_self", "mean_nbr", "symnorm"],
+    )
+    def test_backward_matches_materialized_transpose(self, kind, spmm):
+        # the backward multiplies by the transpose view of the CSR operator;
+        # a materialized CSR transpose gives the same sums bit for bit
+        rng = np.random.default_rng(8)
+        n = 40
+        g = build_graph(rng.integers(0, 30, size=(60, 2)), n)
+        assert np.any(degrees(g) == 0)
+        op = ad._operator(g, kind)
+        h = rand_tensor(rng, n, 5)
+        w = tensor(rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-6, 6, (n, 1)))
+        with Tape() as tape:
+            loss = ad.mean_all(ad.elementwise_mul(spmm(g, h), w))
+        expected = op.T.tocsr() @ ((1.0 / w.values.size) * w.values)
+        np.testing.assert_array_equal(backward(tape, loss)[h], expected)
 
 
 class TestLossValues:

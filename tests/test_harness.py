@@ -283,6 +283,18 @@ class TestSweepDepth:
             (1, "plain"), (1, "adaptive"), (2, "plain"), (2, "adaptive"),
         ]
 
+    def test_adaptive_keys_accepted(self):
+        # the plain rows come from an override; the adaptive keys still
+        # configure the adaptive rows
+        spec = ExperimentSpec(
+            kind="sweep_depth",
+            parameters={**TINY, "epochs": 2, "depths": [1], "lambda": 0.1,
+                        "gating": "hard", "temperature": 0.2, "head_hidden": 4},
+            seeds=(0,),
+        )
+        _, rows = execute(spec)
+        assert [r[1] for r in rows] == ["plain", "adaptive"]
+
     def test_plain_adaptive_model_rejected(self):
         spec = ExperimentSpec(kind="sweep_depth",
                               parameters={"model": "plain"})
@@ -448,6 +460,21 @@ class TestCli:
         cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + bad + "}")
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [None, "plain"], ids=["default", "plain"])
+    def test_plain_train_eval_rejects_adaptive_keys(self, tmp_path, capsys, model):
+        # a plain backbone has no gates, head or thresholds; these keys used
+        # to be ignored whatever their value
+        base = {**TINY, "epochs": 2}
+        if model is not None:
+            base["model"] = model
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(base)[:-1] + ', "temperature": NaN, '
+                       '"gating": "bogus", "head_hidden": -3}')
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "['gating', 'head_hidden', 'temperature']" in err
+        assert "adaptive" in err
 
     def test_seeds_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -9,6 +9,10 @@ A module-level private name (``_helper``, ``_CONSTANT``) in ``src/adgnn``
 must be read somewhere in the package: in its own module, or by another
 module that imports it or reaches it as an attribute.  Deleting the last
 caller of a helper leaves such an orphan behind.
+
+Every tape primitive that ``autodiff`` exports (a public function that
+records a node, itself or through a helper) must have a caller in
+another package module; the few kept for tests alone are listed.
 """
 
 import ast
@@ -147,3 +151,79 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_private_names():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+# tape primitives the package never calls; the tests build losses with them
+TEST_ONLY_PRIMITIVES = {"mean_all"}
+
+
+def tape_primitives(source: str) -> set[str]:
+    """Exported functions of `source` that reach ``_emit``, directly or
+    through other functions of the same module."""
+    tree = ast.parse(source)
+    calls = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    emitting = {"_emit"}
+    while True:
+        grown = emitting | {name for name, used in calls.items() if used & emitting}
+        if grown == emitting:
+            break
+        emitting = grown
+    return emitting & _exported(tree)
+
+
+def _names_used_from(tree: ast.Module, module: str) -> set[str]:
+    """Names `tree` takes from `module`: imported from it, or reached as
+    attributes of a name bound to the module itself."""
+    taken, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if source == module:
+                    taken.add(alias.name)
+                elif alias.name == module:
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] == module and alias.asname:
+                    aliases.add(alias.asname)
+    return taken | {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id in aliases
+    }
+
+
+def uncalled_primitives(sources: dict[str, str], module: str) -> set[str]:
+    """Tape primitives of `module` that no other module of `sources` takes
+    from it; a same-named local elsewhere does not count."""
+    used = set().union(*(
+        _names_used_from(ast.parse(text), module)
+        for name, text in sources.items() if name != module
+    ))
+    return tape_primitives(sources[module]) - used
+
+
+def test_primitive_scanner_flags_only_uncalled():
+    sources = {
+        "ad": "__all__ = ['leaf', 'op', 'wrapped', 'helper']\n"
+              "def _emit(x):\n    return x\n"
+              "def leaf(x):\n    return x\n"
+              "def op(x):\n    return _emit(x)\n"
+              "def _inner(x):\n    return _emit(x)\n"
+              "def wrapped(x):\n    return _inner(x)\n"
+              "def helper(x):\n    return x\n",
+        "user": "from .ad import op\nfrom . import ad\ny = op(ad.leaf(1))\n",
+        # a local that shares a primitive's name is not a caller
+        "other": "import pkg.ad as a2\nwrapped = a2.helper\nwrapped()\n",
+    }
+    assert tape_primitives(sources["ad"]) == {"op", "wrapped"}
+    assert uncalled_primitives(sources, "ad") == {"wrapped"}
+
+
+def test_every_tape_primitive_has_a_package_caller():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert uncalled_primitives(sources, "autodiff") == TEST_ONLY_PRIMITIVES

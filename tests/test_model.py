@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from adgnn import model as mod
-from adgnn.autodiff import mean_all, softmax_cross_entropy, tensor
+from adgnn.autodiff import Tape, mean_all, softmax_cross_entropy, tensor
 from adgnn.backbones import BackboneConfig, plain_forward
 from adgnn.graph import LabelVector, build_graph, degrees, neighborhood_profiles
 from adgnn.model import (
@@ -623,6 +623,63 @@ class TestSoftGating:
 
             assert check_gradients(build, leaves) < REL_TOL
             checked += 1
+
+    def test_gradcheck_thresholds_and_gates_sage(self):
+        # three gated sage_mean layers with a threshold floor: the per-layer
+        # threshold terms meet in the two raw curve parameters
+        rng = np.random.default_rng(25)
+        cfg = config(
+            t_max=3, hidden=3, kind="sage_mean", gating="soft",
+            temperature=0.3, lambda_weight=0.2, head_hidden=4,
+        )
+        checked = 0
+        while checked < 10:
+            n = 6
+            g = random_graph(rng, n, 10)
+            if g.num_edges < 3:
+                continue
+            params = init_adgnn_params(cfg, 3, 2, seed=int(rng.integers(1 << 30)))
+            for k, t in params.items():
+                if k.startswith(("dense", "conv", "head")):
+                    t.values[:] = rng.uniform(0.5, 1.5, t.shape)
+            x_vals = rng.uniform(0.5, 1.5, (n, 3))
+            h0 = np.maximum(x_vals @ params["dense0.weight"].values, 0.0)
+            src, dst = g.arc_sources(), g.csr_neighbors
+            if np.abs(h0[src] - h0[dst]).min() < 2e-3:
+                continue
+            feats = np.hstack([np.abs(h0[src] - h0[dst]), h0[src] * h0[dst]])
+            probs = expit(feats @ params["head.w1"].values @ params["head.w2"].values)
+            d_plus = np.bincount(src, weights=probs.reshape(-1), minlength=n)
+            alpha = estimated_alpha(d_plus, degrees(g) - d_plus, degrees(g))
+            scores = np.sort(log_benefit_scores(alpha, degrees(g), 3))
+            if scores[1] - scores[0] < 1e-2 or scores[-1] - scores[-2] < 1e-2:
+                continue
+            labels = rng.integers(0, 2, size=n)
+            x = tensor(x_vals)
+            leaves = list(params.values())
+
+            def build():
+                res = forward(cfg, params, g, x)
+                return softmax_cross_entropy(res.logits, labels, np.ones(n, bool))
+
+            assert check_gradients(build, leaves) < REL_TOL
+            checked += 1
+
+    @pytest.mark.parametrize("t_max", [1, 4])
+    def test_each_gated_layer_records_one_node(self, t_max):
+        # a soft layer costs one node, as a hard where_rows layer does; the
+        # soft pass adds only the score node and the threshold node
+        rng = np.random.default_rng(26)
+        g = random_graph(rng, 20, 50)
+        cfg = config(t_max=t_max, hidden=4, lambda_weight=0.1)
+        params = init_adgnn_params(cfg, 3, 2, seed=1)
+        x = tensor(rng.standard_normal((20, 3)))
+        lengths = {}
+        for gating in ("hard", "soft"):
+            with Tape() as tape:
+                forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+            lengths[gating] = len(tape)
+        assert lengths["soft"] == lengths["hard"] + 2
 
     def test_gradcheck_hard_mode_trunk(self):
         # in hard mode the plan is constant under small parameter moves, so
