@@ -6,10 +6,10 @@ Tape, and backward() replays the tape once in reverse.  Graph aggregation is
 the only sparse piece; it is expressed as multiplication by a scipy.sparse
 operator, so its backward rule is multiplication by the transpose.
 
-Tensors are strictly 2-d.  The only broadcasting rule is that the binary
-elementwise ops accept a (1, 1) second operand.  A Tape belongs to a single
-forward/backward cycle on a single worker; tensors created outside any tape
-are plain immutable values.
+Tensors are strictly 2-d and nothing broadcasts: the operands of an
+elementwise op have equal shapes.  A Tape belongs to a single forward/backward
+cycle on a single worker; tensors created outside any tape are plain immutable
+values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .graph import Graph, adjacency, degrees
 
@@ -32,13 +31,8 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "elementwise_mul",
     "relu",
-    "sigmoid",
-    "abs_diff",
-    "concat_cols",
     "row_gather",
-    "mean_all",
     "where_rows",
     "dropout",
     "spmm_mean_self",
@@ -172,21 +166,6 @@ def _out(values: np.ndarray, *inputs: Tensor) -> Tensor:
     return t
 
 
-def _check_scalar_or_same(a: Tensor, b: Tensor, op: str) -> bool:
-    """True when b broadcasts as a (1, 1) scalar."""
-    if b.shape == (1, 1) and a.shape != (1, 1):
-        return True
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-    return False
-
-
-def _unbroadcast(g: np.ndarray, scalar_b: bool) -> np.ndarray:
-    """The gradient of a second operand that broadcast as a (1, 1) scalar
-    is the sum over every entry it touched."""
-    return g.sum().reshape(1, 1) if scalar_b else g
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims {a.shape} vs {b.shape}")
@@ -200,23 +179,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    scalar_b = _check_scalar_or_same(a, b, "add")
+    if a.shape != b.shape:
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = _out(a.values + b.values, a, b)
 
     def bwd(g):
         return (g if a.requires_grad else None,
-                _unbroadcast(g, scalar_b) if b.requires_grad else None)
-
-    return _emit(out, (a, b), bwd)
-
-
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    scalar_b = _check_scalar_or_same(a, b, "elementwise_mul")
-    out = _out(a.values * b.values, a, b)
-
-    def bwd(g):
-        return (g * b.values if a.requires_grad else None,
-                _unbroadcast(g * a.values, scalar_b) if b.requires_grad else None)
+                g if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
 
@@ -229,43 +198,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return _emit(out, (a,), bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = expit(a.values)
-    out = _out(s, a)
-
-    def bwd(g):
-        return (g * s * (1.0 - s),)
-
-    return _emit(out, (a,), bwd)
-
-
-def abs_diff(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"abs_diff: shape mismatch {a.shape} vs {b.shape}")
-    diff = a.values - b.values
-    sign = np.sign(diff)
-    out = _out(np.abs(diff), a, b)
-
-    def bwd(g):
-        return (g * sign if a.requires_grad else None,
-                -g * sign if b.requires_grad else None)
-
-    return _emit(out, (a, b), bwd)
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("concat_cols: row counts differ")
-    ca = a.shape[1]
-    out = _out(np.hstack([a.values, b.values]), a, b)
-
-    def bwd(g):
-        return (g[:, :ca] if a.requires_grad else None,
-                g[:, ca:] if b.requires_grad else None)
-
-    return _emit(out, (a, b), bwd)
 
 
 def row_gather(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -282,18 +214,6 @@ def row_gather(a: Tensor, indices: np.ndarray) -> Tensor:
         for j in range(a.shape[1]):
             acc[:, j] = np.bincount(idx, weights=g[:, j], minlength=a.shape[0])
         return (acc,)
-
-    return _emit(out, (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    size = a.values.size
-    if size == 0:
-        raise ValueError("mean_all of an empty tensor")
-    out = _out(np.array([[a.values.mean()]]), a)
-
-    def bwd(g):
-        return (np.full(a.shape, g[0, 0] / size),)
 
     return _emit(out, (a,), bwd)
 

@@ -28,15 +28,9 @@ from .autodiff import (
     Tensor,
     _emit,
     _out,
-    abs_diff,
     add,
     binary_cross_entropy,
-    concat_cols,
-    elementwise_mul,
-    matmul,
-    relu,
     row_gather,
-    sigmoid,
     tensor,
     where_rows,
 )
@@ -58,6 +52,7 @@ __all__ = [
     "threshold_function",
     "trunk_params",
     "pair_probability",
+    "structural_scores",
     "expected_label_counts",
     "estimated_alpha",
     "log_benefit_scores",
@@ -255,13 +250,40 @@ def trunk_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
 
 def pair_probability(head: SimilarityHead, h_u: Tensor, h_v: Tensor) -> Tensor:
     """Same-label probability per row pair, in (0, 1), symmetric in its
-    arguments."""
+    arguments.
+
+    One tape node over (h_u, h_v, w1, w2): the forward is
+    sigmoid(relu([|h_u - h_v|, h_u * h_v] @ w1) @ w2) and the backward is
+    written by hand.
+    """
     if h_u.shape != h_v.shape:
         raise ValueError(f"pair shapes differ: {h_u.shape} vs {h_v.shape}")
     if 2 * h_u.shape[1] != head.w1.shape[0]:
         raise ValueError("embedding width does not match the head")
-    feats = concat_cols(abs_diff(h_u, h_v), elementwise_mul(h_u, h_v))
-    return sigmoid(matmul(relu(matmul(feats, head.w1)), head.w2))
+    diff = h_u.values - h_v.values
+    feats = np.hstack([np.abs(diff), h_u.values * h_v.values])
+    z1 = feats @ head.w1.values
+    mask = z1 > 0
+    r = np.where(mask, z1, 0.0)
+    p = expit(r @ head.w2.values)
+    width = h_u.shape[1]
+
+    def bwd(g):
+        # each step and each sum in the order the sigmoid, matmul, relu,
+        # matmul, hstack, product and |difference| rules would take them,
+        # so the gradients round exactly as that chain of nodes would
+        g2 = g * p * (1.0 - p)
+        g_z1 = (g2 @ head.w2.values.T) * mask
+        g_feats = g_z1 @ head.w1.values.T
+        g_abs, g_mul = g_feats[:, :width], g_feats[:, width:]
+        sign = np.sign(diff)
+        return (g_mul * h_v.values + g_abs * sign if h_u.requires_grad else None,
+                g_mul * h_u.values + -g_abs * sign if h_v.requires_grad else None,
+                feats.T @ g_z1 if head.w1.requires_grad else None,
+                r.T @ g2 if head.w2.requires_grad else None)
+
+    out = _out(p, h_u, h_v, head.w1, head.w2)
+    return _emit(out, (h_u, h_v, head.w1, head.w2), bwd)
 
 
 def expected_label_counts(
@@ -313,6 +335,22 @@ def assign_stopping_depths(
     return DepthPlan(depth, eps, int(tau.size))
 
 
+def structural_scores(graph: Graph, key: str) -> np.ndarray:
+    """Per-arc scores of a structural source, "degree" or a heuristic name.
+
+    They depend only on the graph, so the first call per graph and key
+    computes them and later calls read a per-graph cache: a training loop
+    pays for betweenness and friends once, not per epoch.
+    """
+    cached = _STRUCTURAL_SCORES.setdefault(graph, {})
+    if key not in cached:
+        if key == "degree":
+            cached[key] = degree_similarity(graph)
+        else:
+            cached[key] = heuristic_similarity(graph, key)
+    return cached[key]
+
+
 def _per_node_calibration(
     cfg: AdGnnConfig,
     num_nodes: int,
@@ -341,16 +379,8 @@ def _arc_probabilities(
         h_u = row_gather(h0, graph.arc_sources())
         h_v = row_gather(h0, graph.csr_neighbors)
         return pair_probability(head, h_u, h_v)
-    # structural scores depend only on the graph; cache per graph so a
-    # training loop pays for betweenness and friends once, not per epoch
-    cached = _STRUCTURAL_SCORES.setdefault(graph, {})
     key = "degree" if cfg.variant == "fast_degree" else cfg.heuristic_name
-    if key not in cached:
-        if cfg.variant == "fast_degree":
-            cached[key] = degree_similarity(graph)
-        else:
-            cached[key] = heuristic_similarity(graph, cfg.heuristic_name)
-    return tensor(cached[key].reshape(-1, 1))
+    return tensor(structural_scores(graph, key).reshape(-1, 1))
 
 
 def _soft_scores(

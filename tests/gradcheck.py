@@ -2,10 +2,26 @@
 
 import numpy as np
 
-from adgnn.autodiff import Tape, backward
+from adgnn.autodiff import Tape, _emit, _out, backward
 
 FD_STEP = 1e-4
 REL_TOL = 1e-4
+
+
+def weighted_mean(out, weight):
+    """(out * weight).mean() as one tape node: the scalar the gradchecks
+    differentiate.  A random full-rank weight reaches every entry of `out`
+    with its own coefficient; the package itself never needs this node."""
+    if out.shape != weight.shape:
+        raise ValueError(f"weight shape {weight.shape} differs from {out.shape}")
+    loss = _out(np.array([[(out.values * weight.values).mean()]]), out, weight)
+
+    def bwd(g):
+        scale = np.full(out.shape, g[0, 0] / out.values.size)
+        return (scale * weight.values if out.requires_grad else None,
+                scale * out.values if weight.requires_grad else None)
+
+    return _emit(loss, (out, weight), bwd)
 
 
 def fd_gradients(evaluate, arrays, h=FD_STEP):

@@ -11,13 +11,7 @@ import time
 
 import numpy as np
 
-from adgnn.autodiff import (
-    binary_cross_entropy,
-    elementwise_mul,
-    mean_all,
-    softmax_cross_entropy,
-    tensor,
-)
+from adgnn.autodiff import binary_cross_entropy, softmax_cross_entropy, tensor
 from adgnn.backbones import BackboneConfig, layer_forward, plain_forward
 from adgnn.cli import main
 from adgnn.csbm import ClassStats
@@ -44,7 +38,7 @@ from adgnn.theory import (
     multi_layer_stats,
     signal_preservation_factor,
 )
-from gradcheck import REL_TOL, check_gradients
+from gradcheck import REL_TOL, check_gradients, weighted_mean
 
 FIVE_SEEDS = (0, 1, 2, 3, 4)
 UNIT_STATS = ClassStats(delta_sq=4.0, sigma_sq=1.0)
@@ -272,7 +266,7 @@ def _gradcheck_backbone_layers():
 
         def build():
             out = layer_forward(bb, layer, graph, h)
-            return mean_all(elementwise_mul(out, weight_tensor))
+            return weighted_mean(out, weight_tensor)
 
         worst = max(worst, check_gradients(build, [h, *layer.values()]))
         checked += 1
@@ -297,7 +291,7 @@ def _gradcheck_similarity_head():
 
         def build():
             head = SimilarityHead(w1, w2)
-            return mean_all(elementwise_mul(pair_probability(head, hu, hv), mix))
+            return weighted_mean(pair_probability(head, hu, hv), mix)
 
         worst = max(worst, check_gradients(build, [hu, hv, w1, w2]))
         checked += 1

@@ -24,7 +24,7 @@ from adgnn.datasets import load_dataset, save_dataset
 from adgnn.drivers import ExperimentSpec, execute
 from adgnn.graph import LabelVector, build_graph, make_split
 from adgnn.heuristics import HEURISTIC_NAMES
-from adgnn import model
+from adgnn import drivers, model
 from adgnn.autodiff import tensor
 from adgnn.model import AdGnnConfig
 from adgnn.backbones import BackboneConfig
@@ -385,6 +385,43 @@ class TestCompareHeuristics:
         with pytest.raises(ValueError, match="unknown heuristic"):
             execute(spec)
 
+    def test_repeated_heuristic_rejected(self):
+        # a second row for one name would time a cache hit
+        spec = ExperimentSpec(
+            kind="compare_heuristics",
+            parameters={"heuristics": ["degree", "jaccard", "degree"]},
+        )
+        with pytest.raises(ValueError, match="twice"):
+            execute(spec)
+
+    def test_each_scorer_runs_once_per_name(self, monkeypatch):
+        # the timed computation fills the per-graph cache that training
+        # reads, so one timing repeat costs one scorer call per name
+        calls = []
+        for module in (drivers, model):
+            for attr, name_of in (
+                ("heuristic_similarity", lambda args: args[1]),
+                ("degree_similarity", lambda args: "degree"),
+            ):
+                fn = getattr(module, attr)
+
+                def spy(*args, _fn=fn, _name_of=name_of):
+                    calls.append(_name_of(args))
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, attr, spy)
+        params = {**TINY, "epochs": 2, "timing_repeats": 1,
+                  "heuristics": ["jaccard", "degree"]}
+        spec = ExperimentSpec(kind="compare_heuristics", parameters=params,
+                              seeds=(0, 1))
+        execute(spec)
+        assert sorted(calls) == ["degree", "jaccard"]
+        calls.clear()
+        execute(ExperimentSpec(kind="compare_heuristics",
+                               parameters={**params, "timing_repeats": 3},
+                               seeds=(0,)))
+        assert sorted(calls) == ["degree"] * 3 + ["jaccard"] * 3
+
 
 class TestTrainDriver:
     def test_rows_per_seed_and_dataset_input(self, tmp_path):
@@ -460,6 +497,21 @@ class TestCli:
         cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + bad + "}")
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("sweep-lambda", '"lambda": "bogus", "lambdas": [0.0]'),
+         ("sweep-depth", '"layers": -5, "depths": [1]')],
+        ids=["sweep_lambda", "sweep_depth"],
+    )
+    def test_sweep_key_set_by_its_grid_exits_2(
+        self, tmp_path, capsys, command, extra
+    ):
+        # each grid overrides the single-value key, so the key is rejected
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
+        assert main([command, "--config", str(cfg), "--seeds", "0"]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", [None, "plain"], ids=["default", "plain"])
     def test_plain_train_eval_rejects_adaptive_keys(self, tmp_path, capsys, model):

@@ -153,10 +153,6 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names(sources) == []
 
 
-# tape primitives the package never calls; the tests build losses with them
-TEST_ONLY_PRIMITIVES = {"mean_all"}
-
-
 def tape_primitives(source: str) -> set[str]:
     """Exported functions of `source` that reach ``_emit``, directly or
     through other functions of the same module."""
@@ -226,4 +222,4 @@ def test_primitive_scanner_flags_only_uncalled():
 
 def test_every_tape_primitive_has_a_package_caller():
     sources = {path.stem: path.read_text() for path in PACKAGE}
-    assert uncalled_primitives(sources, "autodiff") == TEST_ONLY_PRIMITIVES
+    assert uncalled_primitives(sources, "autodiff") == set()

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from adgnn import model as mod
-from adgnn.autodiff import Tape, mean_all, softmax_cross_entropy, tensor
+from adgnn.autodiff import Tape, softmax_cross_entropy, tensor, where_rows
 from adgnn.backbones import BackboneConfig, plain_forward
 from adgnn.graph import LabelVector, build_graph, degrees, neighborhood_profiles
 from adgnn.model import (
@@ -28,7 +28,7 @@ from adgnn.model import (
     trunk_params,
 )
 from adgnn.theory import _ALPHA_FLOOR, log_depth_benefit, signal_preservation_factor
-from gradcheck import REL_TOL, check_gradients
+from gradcheck import REL_TOL, check_gradients, weighted_mean
 
 
 def random_graph(rng, n, pairs):
@@ -115,11 +115,19 @@ class TestSimilarityHead:
 
             def build():
                 head = SimilarityHead(t_w1, t_w2)
-                return mean_all(
-                    mod.elementwise_mul(pair_probability(head, t_hu, t_hv), wt)
-                )
+                return weighted_mean(pair_probability(head, t_hu, t_hv), wt)
 
             assert check_gradients(build, [t_hu, t_hv, t_w1, t_w2]) < REL_TOL
+
+    def test_pair_probability_records_one_node(self):
+        rng = np.random.default_rng(4)
+        hu = tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        hv = tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        head = SimilarityHead(tensor(rng.standard_normal((6, 4)), requires_grad=True),
+                              tensor(rng.standard_normal((4, 1)), requires_grad=True))
+        with Tape() as tape:
+            pair_probability(head, hu, hv)
+        assert len(tape) == 1
 
 
 class TestExpectedCounts:
@@ -925,9 +933,9 @@ class TestOneScorePath:
             w = tensor(rng.standard_normal((6, 1)))
 
             def build():
-                probs = mod.elementwise_mul(leaf, tensor(pinned))
+                probs = where_rows(pinned[:, 0] > 0, leaf, tensor(0.0 * pinned))
                 eps = mod._soft_scores(probs, g, deg, 2, ones, ones)
-                return mean_all(mod.elementwise_mul(eps, w))
+                return weighted_mean(eps, w)
 
             assert check_gradients(build, [leaf]) < REL_TOL
             checked += 1
