@@ -19,7 +19,6 @@ from adgnn.theory import (
     mc_single_layer_stats,
     multi_layer_stats,
     signal_preservation_factor,
-    single_layer_stats,
 )
 
 stats = ClassStats(delta_sq=4.0, sigma_sq=1.0)
@@ -30,7 +29,7 @@ print("single layer: closed form vs Monte Carlo "
 print(f"{'profile':>14} {'alpha':>7} {'signal':>18} {'noise':>18}")
 for d_plus, d_minus in ((6, 0), (4, 2), (3, 3), (1, 5), (0, 2)):
     p = NodeProfile(d_plus=d_plus, d_minus=d_minus, degree=d_plus + d_minus)
-    an = single_layer_stats(p, stats)
+    an = multi_layer_stats(p, stats, 1)
     mc = mc_single_layer_stats(p, stats, trials=trials, seed=7)
     alpha = signal_preservation_factor(p)
     print(f"  +{d_plus}/-{d_minus} (d={p.degree})"
@@ -45,9 +44,8 @@ signals, noises = mc_layer_trajectory(p, stats, n_layers=3, trials=trials,
                                       seed=11)
 print(f"profile +5/-1 (alpha = {signal_preservation_factor(p):.3f})")
 for n in range(4):
-    an = multi_layer_stats(p, stats, n) if n else None
     quality = signals[n] / noises[n]
-    closed = (an.signal_variance / an.noise_variance) if an else quality
+    closed = multi_layer_stats(p, stats, n).quality if n else quality
     print(f"  {n} layers: simulated quality {quality:8.2f}"
           f"   closed form {closed:8.2f}")
 

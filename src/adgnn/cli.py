@@ -56,17 +56,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_seeds(args, config: dict) -> tuple[int, ...]:
+    """The seeds a run asked for, or () for the driver's defaults.  A seed
+    list that names no seed is an error, not a request for the defaults."""
     if args.seeds is not None:
+        source = "--seeds"
         try:
-            return tuple(int(tok) for tok in args.seeds.split(",") if tok.strip())
+            seeds = tuple(int(tok) for tok in args.seeds.split(",") if tok.strip())
         except ValueError:
             raise ValueError(f"--seeds must be comma-separated integers, got "
                              f"{args.seeds!r}") from None
-    if args.seed is not None:
+    elif args.seed is not None:
         return (args.seed,)
-    if "seeds" in config:
-        return tuple(int(s) for s in config["seeds"])
-    return ()
+    elif "seeds" in config:
+        source = 'config "seeds"'
+        seeds = tuple(int(s) for s in config["seeds"])
+    else:
+        return ()
+    if not seeds:
+        raise ValueError(f"{source} names no seed")
+    return seeds
 
 
 def main(argv: list[str] | None = None) -> int:

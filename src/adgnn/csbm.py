@@ -4,8 +4,8 @@ Two-class graphs with Bernoulli edges (intra-class probability p_in,
 inter-class p_out) and Gaussian node features centered on a per-class
 prototype.  Also provides the local neighborhood sampler used by the
 Monte Carlo oracles in :mod:`adgnn.theory`: rather than a whole graph, it
-draws one node's feature vector together with the features of a
-neighborhood whose label composition is fixed in advance.
+draws batches of one node's feature vector together with the features of
+a neighborhood whose label composition is fixed in advance.
 
 Randomness is split into two named counter-based streams (structure,
 features) spawned from the user seed, so regenerating features never
@@ -26,7 +26,6 @@ __all__ = [
     "sample_graph",
     "homophily_from_target",
     "measured_edge_homophily",
-    "sample_neighborhood",
     "sample_neighborhood_batch",
     "canonical_prototypes",
 ]
@@ -204,17 +203,3 @@ def sample_neighborhood_batch(
         (trials, profile.d_minus, dim)
     )
     return center, neighbors
-
-
-def sample_neighborhood(
-    profile: NodeProfile,
-    stats: ClassStats,
-    own_label: int,
-    rng: np.random.Generator,
-    dim: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single draw of (center features, neighbor feature rows)."""
-    center, neighbors = sample_neighborhood_batch(
-        profile, stats, own_label, trials=1, rng=rng, dim=dim
-    )
-    return center[0], neighbors[0]

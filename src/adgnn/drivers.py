@@ -40,8 +40,8 @@ from .theory import (
     estimated_alpha,
     log_benefit_scores,
     mc_single_layer_stats,
+    multi_layer_stats,
     signal_preservation_factor,
-    single_layer_stats,
 )
 from .train import RunResult, TrainConfig, multi_seed, train_model
 
@@ -344,7 +344,7 @@ def run_theory_validate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
             alpha = signal_preservation_factor(profile)
             if alpha != 0.0:
                 break
-        analytic = single_layer_stats(profile, stats)
+        analytic = multi_layer_stats(profile, stats, 1)
         mc = mc_single_layer_stats(
             profile, stats, trials=trials, seed=base_seed * 1_000_003 + i,
             dim=dim,

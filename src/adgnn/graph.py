@@ -21,7 +21,6 @@ __all__ = [
     "build_graph",
     "degrees",
     "adjacency",
-    "neighborhood_profiles",
     "profile_counts",
     "make_split",
     "train_edge_set",
@@ -187,14 +186,6 @@ def profile_counts(graph: Graph, labels: LabelVector) -> tuple[np.ndarray, np.nd
     same = y[src] == y[graph.csr_neighbors]
     d_plus = np.bincount(src[same], minlength=graph.num_nodes).astype(np.int64)
     return d_plus, deg - d_plus, deg
-
-
-def neighborhood_profiles(graph: Graph, labels: LabelVector) -> list[NodeProfile]:
-    d_plus, d_minus, deg = profile_counts(graph, labels)
-    return [
-        NodeProfile(int(p), int(m), int(d))
-        for p, m, d in zip(d_plus, d_minus, deg)
-    ]
 
 
 def make_split(

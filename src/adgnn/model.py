@@ -134,22 +134,11 @@ class DepthPlan:
         if depth.size and (depth.min() < 0 or depth.max() > self.t_max):
             raise ValueError("stopping depths must lie in [0, t_max]")
 
-    def _check_layer(self, t: int) -> None:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"layer index {t} outside 1..{self.t_max}")
-
     def active_nodes(self, t: int) -> np.ndarray:
         """Nodes still receiving fresh aggregates at layer t."""
-        self._check_layer(t)
+        if not 1 <= t <= self.t_max:
+            raise ValueError(f"layer index {t} outside 1..{self.t_max}")
         return self.stopping_depth >= t
-
-    def active_edges(self, graph: Graph, t: int) -> np.ndarray:
-        """Mask over graph.edges() of edges carrying a fresh message at
-        layer t, i.e. both endpoints active."""
-        self._check_layer(t)
-        act = self.active_nodes(t)
-        edges = graph.edges()
-        return act[edges[:, 0]] & act[edges[:, 1]]
 
     def mean_depth(self) -> float:
         return float(self.stopping_depth.mean()) if self.stopping_depth.size else 0.0
@@ -372,10 +361,14 @@ def _per_node_calibration(
 
 
 def _arc_probabilities(
-    cfg: AdGnnConfig, params: dict[str, Tensor], graph: Graph, h0: Tensor
+    cfg: AdGnnConfig, params: dict[str, Tensor], graph: Graph, h0: Tensor,
+    on_tape: bool,
 ) -> Tensor:
     if cfg.variant in ("learned", "modified"):
         head = similarity_head(params)
+        if not on_tape:
+            head = SimilarityHead(tensor(head.w1.values), tensor(head.w2.values))
+            h0 = tensor(h0.values)
         h_u = row_gather(h0, graph.arc_sources())
         h_v = row_gather(h0, graph.csr_neighbors)
         return pair_probability(head, h_u, h_v)
@@ -510,14 +503,14 @@ def forward(
     h0 = dense_forward(
         bb, {"weight": params["dense0.weight"]}, x, True, dropout_rng
     )
-    arc_probs = _arc_probabilities(cfg, params, graph, h0)
+    soft = cfg.gating == "soft"
+    # hard gating never differentiates the scores, so the head reads h0
+    # and its weights as constants and records nothing on the tape
+    arc_probs = _arc_probabilities(cfg, params, graph, h0, on_tape=soft)
 
     deg = degrees(graph).astype(np.float64)
     beta, gamma = _per_node_calibration(cfg, graph.num_nodes, calibration)
-    soft = cfg.gating == "soft"
-    # hard gating never differentiates the scores, so they stay off the tape
-    scored = arc_probs if soft else tensor(arc_probs.values)
-    eps = _soft_scores(scored, graph, deg, cfg.t_max, beta, gamma)
+    eps = _soft_scores(arc_probs, graph, deg, cfg.t_max, beta, gamma)
     tf = threshold_function(cfg, params)
     if soft:
         tau = _thresholds(tf, cfg.t_max)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,25 +21,15 @@ from .graph import NodeProfile
 __all__ = [
     "AggregationStats",
     "CalibrationFactors",
-    "Regime",
     "estimated_alpha",
     "log_benefit_scores",
     "minmax_normalize",
     "signal_preservation_factor",
-    "single_layer_stats",
     "multi_layer_stats",
-    "depth_benefit",
-    "log_depth_benefit",
-    "modified_depth_benefit",
     "mc_single_layer_stats",
-    "mc_iterated_stats",
     "mc_layer_trajectory",
     "estimate_calibration_factors",
-    "corollary_regime",
 ]
-
-# exp() overflows float64 just above this
-_LOG_FLOAT_MAX = 709.0
 
 # |alpha| at or below this marks a sentinel node: total cancellation, or
 # rounding noise around it.  Its log benefit is -inf, so it scores 0 and
@@ -50,25 +39,22 @@ _ALPHA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class AggregationStats:
-    """Signal variance (squared distance between the two conditional means),
-    scalar noise variance, and their ratio."""
+    """Signal variance (squared distance between the two conditional means)
+    and scalar noise variance."""
 
     signal_variance: float
     noise_variance: float
-    quality: float
 
     def __post_init__(self) -> None:
         if self.signal_variance < 0 or self.noise_variance < 0:
             raise ValueError("variances must be non-negative")
-        if self.noise_variance > 0:
-            expected = self.signal_variance / self.noise_variance
-            if not math.isclose(self.quality, expected, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError("quality must equal signal/noise")
 
-    @classmethod
-    def from_signal_noise(cls, signal: float, noise: float) -> "AggregationStats":
-        quality = signal / noise if noise > 0 else math.inf
-        return cls(signal_variance=float(signal), noise_variance=float(noise), quality=float(quality))
+    @property
+    def quality(self) -> float:
+        """Signal over noise; +inf at zero noise."""
+        if self.noise_variance == 0:
+            return math.inf
+        return self.signal_variance / self.noise_variance
 
 
 @dataclass(frozen=True)
@@ -84,15 +70,6 @@ class CalibrationFactors:
             raise ValueError("beta must be finite and positive")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be finite and positive")
-
-
-IDENTITY_CALIBRATION = CalibrationFactors(beta=1.0, gamma=1.0)
-
-
-class Regime(Enum):
-    STRONG_HOMOPHILY = "strong_homophily"
-    STRONG_HETEROPHILY = "strong_heterophily"
-    MIXED = "mixed"
 
 
 def estimated_alpha(
@@ -162,74 +139,22 @@ def signal_preservation_factor(profile: NodeProfile) -> float:
     return float(estimated_alpha(profile.d_plus, profile.d_minus, profile.degree))
 
 
-def single_layer_stats(profile: NodeProfile, stats: ClassStats) -> AggregationStats:
-    """Predicted signal and noise after one self-inclusive mean aggregation.
+def multi_layer_stats(profile: NodeProfile, stats: ClassStats, n_layers: int) -> AggregationStats:
+    """Predicted signal and noise after n self-inclusive mean aggregations,
+    under the idealized assumption that label-conditioned inputs are
+    redrawn independently at each layer: the signal keeps alpha^2 and the
+    noise 1 / (degree + 1) per layer.
 
     Raises when sigma_sq is zero, since the quality ratio is undefined.
     """
-    if stats.sigma_sq == 0:
-        raise ValueError("quality is undefined at zero noise variance")
-    alpha = signal_preservation_factor(profile)
-    signal = alpha * alpha * stats.delta_sq
-    noise = stats.sigma_sq / (profile.degree + 1)
-    return AggregationStats.from_signal_noise(signal, noise)
-
-
-def multi_layer_stats(profile: NodeProfile, stats: ClassStats, n_layers: int) -> AggregationStats:
-    """Signal and noise after n aggregations, under the idealized assumption
-    that label-conditioned inputs are redrawn independently at each layer."""
     if n_layers < 1:
         raise ValueError("n_layers must be at least 1")
     if stats.sigma_sq == 0:
         raise ValueError("quality is undefined at zero noise variance")
     alpha = signal_preservation_factor(profile)
-    signal = alpha ** (2 * n_layers) * stats.delta_sq
+    signal = (alpha * alpha) ** n_layers * stats.delta_sq
     noise = stats.sigma_sq / (profile.degree + 1) ** n_layers
-    return AggregationStats.from_signal_noise(signal, noise)
-
-
-def _log_benefit(
-    profile: NodeProfile, calibration: CalibrationFactors, n_layers: int
-) -> float:
-    if n_layers < 0:
-        raise ValueError("n_layers must be non-negative")
-    if n_layers == 0:
-        return 0.0
-    alpha = signal_preservation_factor(profile)
-    return float(log_benefit_scores(
-        alpha, profile.degree, n_layers, calibration.beta, calibration.gamma
-    ))
-
-
-def _saturating_exp(log_value: float) -> float:
-    # +inf rather than OverflowError for hub nodes at large n
-    return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
-
-
-def log_depth_benefit(profile: NodeProfile, n_layers: int) -> float:
-    """Natural log of the depth benefit; the canonical internal form.
-
-    Returns -inf when the signal preservation factor is zero (total
-    cancellation) and any layer count is applied.
-    """
-    return _log_benefit(profile, IDENTITY_CALIBRATION, n_layers)
-
-
-def depth_benefit(profile: NodeProfile, n_layers: int) -> float:
-    """Quality after n layers relative to quality of the raw features,
-    (alpha^2 * (degree + 1)) ** n.  Saturates to +inf rather than raising
-    for hub nodes at large n."""
-    return _saturating_exp(log_depth_benefit(profile, n_layers))
-
-
-def modified_depth_benefit(
-    profile: NodeProfile,
-    calibration: CalibrationFactors,
-    n_layers: int,
-) -> float:
-    """Depth benefit with empirical per-layer corrections folded in:
-    (beta * alpha^2 * (degree + 1) / gamma) ** n."""
-    return _saturating_exp(_log_benefit(profile, calibration, n_layers))
+    return AggregationStats(signal, noise)
 
 
 def _oracle_rng(seed: int) -> np.random.Generator:
@@ -280,7 +205,7 @@ def mc_single_layer_stats(
         variances.append(var)
     signal = float(np.sum((means[0] - means[1]) ** 2))
     noise = 0.5 * (variances[0] + variances[1])
-    return AggregationStats.from_signal_noise(signal, noise)
+    return AggregationStats(signal, noise)
 
 
 def mc_layer_trajectory(
@@ -341,19 +266,6 @@ def mc_layer_trajectory(
     return signals, noises
 
 
-def mc_iterated_stats(
-    profile: NodeProfile,
-    stats: ClassStats,
-    n_layers: int,
-    trials: int,
-    seed: int,
-    dim: int = 8,
-) -> AggregationStats:
-    """Monte Carlo counterpart of multi_layer_stats."""
-    signals, noises = mc_layer_trajectory(profile, stats, n_layers, trials, seed, dim)
-    return AggregationStats.from_signal_noise(signals[-1], noises[-1])
-
-
 def estimate_calibration_factors(
     signal_variances: np.ndarray,
     noise_variances: np.ndarray,
@@ -384,22 +296,3 @@ def estimate_calibration_factors(
     )
     return betas, gammas, averaged
 
-
-def corollary_regime(
-    profile: NodeProfile,
-    homophilic_threshold: float = 0.8,
-    heterophilic_threshold: float = 0.2,
-) -> Regime:
-    """Classify a neighborhood by its same-label fraction.
-
-    Isolated nodes count as strongly homophilic: with no neighbors the
-    self term preserves the signal perfectly.
-    """
-    if profile.degree == 0:
-        return Regime.STRONG_HOMOPHILY
-    ratio = profile.d_plus / profile.degree
-    if ratio >= homophilic_threshold:
-        return Regime.STRONG_HOMOPHILY
-    if ratio <= heterophilic_threshold:
-        return Regime.STRONG_HETEROPHILY
-    return Regime.MIXED

@@ -133,19 +133,6 @@ class RunResult:
         """Population standard deviation over seeds."""
         return float(self.accuracies.std())
 
-    def as_json_dict(self) -> dict:
-        return {
-            "accuracy_mean": self.mean,
-            "accuracy_std": self.std,
-            "seeds": [
-                {
-                    **r.csv_row(),
-                    "depth_histogram": list(r.depth_histogram),
-                }
-                for r in self.seed_results
-            ],
-        }
-
 
 def annealed_temperature(base: float, epoch_index: int) -> float:
     return max(base * _ANNEAL_FACTOR ** (epoch_index // _ANNEAL_EVERY),

@@ -421,8 +421,10 @@ def test_10_structural_invariants():
             previous = plan.active_nodes(t - 1)
             current = plan.active_nodes(t)
             assert not np.any(current & ~previous)
-            edge_prev = plan.active_edges(graph, t - 1)
-            edge_cur = plan.active_edges(graph, t)
+            # an edge carries a fresh message while both ends are active
+            e = graph.edges()
+            edge_prev = previous[e[:, 0]] & previous[e[:, 1]]
+            edge_cur = current[e[:, 0]] & current[e[:, 1]]
             assert not np.any(edge_cur & ~edge_prev)
 
     # a stopped row is immune to every later layer's parameters

@@ -8,7 +8,6 @@ from adgnn.csbm import (
     homophily_from_target,
     measured_edge_homophily,
     sample_graph,
-    sample_neighborhood,
     sample_neighborhood_batch,
 )
 from adgnn.graph import LabelVector, NodeProfile, build_graph, profile_counts
@@ -152,12 +151,14 @@ class TestNeighborhoodSampler:
         rng = np.random.default_rng(0)
         prof = NodeProfile(d_plus=3, d_minus=2, degree=5)
         stats = ClassStats(delta_sq=4.0, sigma_sq=0.0)
-        center, nbrs = sample_neighborhood(prof, stats, own_label=0, rng=rng, dim=4)
+        center, nbrs = sample_neighborhood_batch(
+            prof, stats, own_label=0, trials=1, rng=rng, dim=4
+        )
         mu0, mu1 = canonical_prototypes(4.0, 4)
-        assert center.shape == (4,) and nbrs.shape == (5, 4)
-        assert np.array_equal(center, mu0)
-        assert np.array_equal(nbrs[:3], np.tile(mu0, (3, 1)))
-        assert np.array_equal(nbrs[3:], np.tile(mu1, (2, 1)))
+        assert center.shape == (1, 4) and nbrs.shape == (1, 5, 4)
+        assert np.array_equal(center[0], mu0)
+        assert np.array_equal(nbrs[0, :3], np.tile(mu0, (3, 1)))
+        assert np.array_equal(nbrs[0, 3:], np.tile(mu1, (2, 1)))
 
     def test_prototype_distance(self):
         mu0, mu1 = canonical_prototypes(9.0, 6)
@@ -180,6 +181,6 @@ class TestNeighborhoodSampler:
         prof = NodeProfile(1, 1, 2)
         stats = ClassStats(4.0, 1.0)
         with pytest.raises(ValueError):
-            sample_neighborhood(prof, stats, own_label=2, rng=rng)
+            sample_neighborhood_batch(prof, stats, own_label=2, trials=1, rng=rng)
         with pytest.raises(ValueError):
             sample_neighborhood_batch(prof, stats, 0, trials=0, rng=rng)

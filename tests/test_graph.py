@@ -7,7 +7,6 @@ from adgnn.graph import (
     build_graph,
     degrees,
     make_split,
-    neighborhood_profiles,
     profile_counts,
     train_edge_set,
 )
@@ -77,10 +76,10 @@ class TestProfiles:
         # center label 0, three leaves labeled 0, 0, 1
         g = build_graph([(0, 1), (0, 2), (0, 3)], num_nodes=4)
         y = LabelVector(np.array([0, 0, 0, 1]), num_classes=2)
-        profiles = neighborhood_profiles(g, y)
-        assert profiles[0] == NodeProfile(d_plus=2, d_minus=1, degree=3)
-        assert profiles[1] == NodeProfile(d_plus=1, d_minus=0, degree=1)
-        assert profiles[3] == NodeProfile(d_plus=0, d_minus=1, degree=1)
+        d_plus, d_minus, deg = profile_counts(g, y)
+        np.testing.assert_array_equal(d_plus, [2, 1, 1, 0])
+        np.testing.assert_array_equal(d_minus, [1, 0, 0, 1])
+        np.testing.assert_array_equal(deg, [3, 1, 1, 1])
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

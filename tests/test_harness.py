@@ -580,6 +580,26 @@ class TestCli:
         assert main(["train-eval", "--seeds", "1,x"]) == 2
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["", ","], ids=["empty", "comma"])
+    def test_empty_seeds_flag_exits_2(self, tmp_path, capsys, flag):
+        # an empty list used to run the driver's default seeds 0-4
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "grid": [0.9]}))
+        out = tmp_path / "r.csv"
+        assert main(["sweep-homophily", "--config", str(cfg), "--seeds", flag,
+                     "--out", str(out)]) == 2
+        assert "--seeds names no seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_config_seeds_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "grid": [0.9], "seeds": []}))
+        out = tmp_path / "r.csv"
+        assert main(["sweep-homophily", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert 'config "seeds" names no seed' in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmarkTraceTargets:
     @pytest.fixture

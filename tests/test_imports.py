@@ -12,10 +12,19 @@ caller of a helper leaves such an orphan behind.
 
 Every tape primitive that ``autodiff`` exports (a public function that
 records a node, itself or through a helper) must have a caller in
-another package module; the few kept for tests alone are listed.
+another package module.
+
+Every ``__all__`` name and public method in ``src/adgnn`` must be read
+outside the tests: by a package module, a demo, ``perfbench/`` or a
+README python block.  A read is a name load, an attribute or an import;
+a docstring or other string does not count.  The names kept for tests
+alone are listed with their reasons.  Every ``from adgnn... import``
+in the demos and the README must resolve, since no test runs them.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +36,16 @@ SOURCES = sorted(
     for folder in ("src/adgnn", "tests", "demos")
     for path in (ROOT / folder).glob("*.py")
 )
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+# public names that only tests read, each with the reason it stays
+TEST_ONLY_EXPORTS = {
+    "model.trunk_params": "the reference extraction that the full-depth "
+                          "reduction tests compare against",
+    "autodiff.set_debug": "the NaN trap that test_debug_mode_traps_nonfinite "
+                          "turns on",
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -100,11 +119,14 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
 
 
 def _read(tree: ast.Module) -> set[str]:
-    """Names a module reads: loads, attributes, imported names and string
-    annotations; a module-level binding alone does not count."""
+    """Names a module reads: loads, attributes, imported names (bound and
+    original) and string annotations; a module-level binding alone does
+    not count."""
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
     read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
     return read | set(_imported(tree)) | _string_annotation_names(tree)
 
 
@@ -223,3 +245,81 @@ def test_primitive_scanner_flags_only_uncalled():
 def test_every_tape_primitive_has_a_package_caller():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert uncalled_primitives(sources, "autodiff") == set()
+
+
+def public_surface(tree: ast.Module) -> dict[str, str]:
+    """Each ``__all__`` name and each public method (``Class.method``) of
+    a module, mapped to the name a reader must use."""
+    surface = {name: name for name in _exported(tree)}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    surface[f"{node.name}.{item.name}"] = item.name
+    return surface
+
+
+def unread_exports(modules: dict[str, str], readers: list[str]) -> set[str]:
+    """``module.name`` of each public name of `modules` (module name ->
+    source) that no source in `readers` reads."""
+    read = set().union(*(_read(ast.parse(text)) for text in readers))
+    return {
+        f"{module}.{qualified}"
+        for module, text in modules.items()
+        for qualified, name in public_surface(ast.parse(text)).items()
+        if name not in read
+    }
+
+
+def test_export_scanner_flags_only_unread():
+    modules = {
+        "m": "__all__ = ['used', 'orphan', 'Box']\n"
+             "def used():\n    'orphan is only named here'\n"
+             "def orphan():\n    pass\n"
+             "class Box:\n"
+             "    def read(self):\n        pass\n"
+             "    def idle(self):\n        pass\n"
+             "    def _private(self):\n        pass\n",
+    }
+    readers = [modules["m"], "from m import used as u, Box\nu()\nBox().read()\n"]
+    assert unread_exports(modules, readers) == {"m.orphan", "m.Box.idle"}
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    modules = {path.stem: path.read_text() for path in PACKAGE}
+    readers = [
+        path.read_text()
+        for folder in ("src/adgnn", "demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ] + README_BLOCKS
+    unread = unread_exports(modules, readers)
+    extra = sorted(unread - set(TEST_ONLY_EXPORTS))
+    assert not extra, f"public names only tests read: {extra}"
+    stale = sorted(set(TEST_ONLY_EXPORTS) - unread)
+    assert not stale, f"listed names that now have a reader: {stale}"
+
+
+def adgnn_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each ``from adgnn... import name`` in `source`."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module == "adgnn" or node.module.startswith("adgnn."))
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [path.read_text() for path in DEMOS] + README_BLOCKS,
+    ids=[str(path.relative_to(ROOT)) for path in DEMOS]
+    + [f"README.md[{i}]" for i in range(len(README_BLOCKS))],
+)
+def test_demo_and_readme_imports_resolve(source):
+    imports = adgnn_imports(source)
+    assert imports
+    missing = [f"{m}.{n}" for m, n in imports
+               if not hasattr(importlib.import_module(m), n)]
+    assert missing == []

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import expit
 from adgnn import model as mod
 from adgnn.autodiff import Tape, softmax_cross_entropy, tensor, where_rows
 from adgnn.backbones import BackboneConfig, plain_forward
-from adgnn.graph import LabelVector, build_graph, degrees, neighborhood_profiles
+from adgnn.graph import LabelVector, NodeProfile, build_graph, degrees, profile_counts
 from adgnn.model import (
     AdGnnConfig,
     DepthPlan,
@@ -27,7 +28,7 @@ from adgnn.model import (
     total_loss,
     trunk_params,
 )
-from adgnn.theory import _ALPHA_FLOOR, log_depth_benefit, signal_preservation_factor
+from adgnn.theory import _ALPHA_FLOOR, signal_preservation_factor
 from gradcheck import REL_TOL, check_gradients, weighted_mean
 
 
@@ -189,9 +190,11 @@ class TestEstimatedAlpha:
             labels = rng.integers(0, 2, size=n)
             d_plus, d_minus = expected_label_counts(g, indicator_arc_probs(g, labels))
             alpha = estimated_alpha(d_plus, d_minus, degrees(g))
-            profiles = neighborhood_profiles(g, LabelVector(labels, 2))
-            for v in range(n):
-                assert alpha[v] == signal_preservation_factor(profiles[v])
+            counts = profile_counts(g, LabelVector(labels, 2))
+            for v, (p, m, d) in enumerate(zip(*counts)):
+                assert alpha[v] == signal_preservation_factor(
+                    NodeProfile(int(p), int(m), int(d))
+                )
 
 
 class TestScoresAndNormalization:
@@ -226,12 +229,14 @@ class TestScoresAndNormalization:
             alpha = estimated_alpha(d_plus, d_minus, degrees(g))
             t_max = int(rng.integers(1, 6))
             scores = log_benefit_scores(alpha, degrees(g), t_max)
-            profiles = neighborhood_profiles(g, LabelVector(labels, 2))
-            for v in range(n):
-                expected = log_depth_benefit(profiles[v], t_max)
-                if np.isinf(expected):
-                    assert np.isinf(scores[v]) and scores[v] < 0
+            # integer label counts: alpha is 0 or at least 1 / (d + 1)
+            counts = profile_counts(g, LabelVector(labels, 2))
+            for v, (p, m, d) in enumerate(zip(*counts)):
+                a = (1 + int(p) - int(m)) / (int(d) + 1)
+                if a == 0:
+                    assert np.isneginf(scores[v])
                 else:
+                    expected = t_max * (2 * math.log(abs(a)) + math.log(d + 1))
                     assert scores[v] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_alpha_sentinel(self):
@@ -305,8 +310,10 @@ class TestStoppingDepths:
                 nodes_now = plan.active_nodes(t)
                 nodes_next = plan.active_nodes(t + 1)
                 assert not (nodes_next & ~nodes_now).any()
-                edges_now = plan.active_edges(g, t)
-                edges_next = plan.active_edges(g, t + 1)
+                # an edge carries a fresh message while both ends are active
+                e = g.edges()
+                edges_now = nodes_now[e[:, 0]] & nodes_now[e[:, 1]]
+                edges_next = nodes_next[e[:, 0]] & nodes_next[e[:, 1]]
                 assert not (edges_next & ~edges_now).any()
 
     def test_plan_accessors(self):
@@ -676,7 +683,9 @@ class TestSoftGating:
     @pytest.mark.parametrize("t_max", [1, 4])
     def test_each_gated_layer_records_one_node(self, t_max):
         # a soft layer costs one node, as a hard where_rows layer does; the
-        # soft pass adds only the score node and the threshold node
+        # soft pass adds the score node, the threshold node and the head's
+        # three (two row gathers and the pair probability), which hard
+        # gating computes off the tape
         rng = np.random.default_rng(26)
         g = random_graph(rng, 20, 50)
         cfg = config(t_max=t_max, hidden=4, lambda_weight=0.1)
@@ -687,7 +696,29 @@ class TestSoftGating:
             with Tape() as tape:
                 forward(dataclasses.replace(cfg, gating=gating), params, g, x)
             lengths[gating] = len(tape)
-        assert lengths["soft"] == lengths["hard"] + 2
+        assert lengths["soft"] == lengths["hard"] + 5
+
+    def test_hard_tape_nodes_all_reach_the_loss(self):
+        # hard gating cuts the plan on constant scores, so no node of the
+        # scoring path may be recorded: each one must feed the loss
+        rng = np.random.default_rng(27)
+        g = random_graph(rng, 20, 50)
+        cfg = config(t_max=3, hidden=4)
+        params = init_adgnn_params(cfg, 3, 2, seed=2)
+        x = tensor(rng.standard_normal((20, 3)))
+        labels = rng.integers(0, 2, size=20)
+        with Tape() as tape:
+            res = forward(cfg, params, g, x)
+            task = softmax_cross_entropy(res.logits, labels, np.ones(20, bool))
+            reg = regularization_loss(
+                mod.similarity_head(params), res.h0, g.edges(), labels
+            )
+            loss = total_loss(task, reg, cfg.variant)
+        reached = {id(loss)}
+        for out, inputs, _ in reversed(tape._nodes):
+            if id(out) in reached:
+                reached.update(id(t) for t in inputs)
+        assert [id(out) in reached for out, _, _ in tape._nodes] == [True] * len(tape)
 
     def test_gradcheck_hard_mode_trunk(self):
         # in hard mode the plan is constant under small parameter moves, so

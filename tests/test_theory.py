@@ -8,19 +8,12 @@ from adgnn.graph import NodeProfile
 from adgnn.theory import (
     AggregationStats,
     CalibrationFactors,
-    IDENTITY_CALIBRATION,
-    Regime,
-    corollary_regime,
-    depth_benefit,
     estimate_calibration_factors,
-    log_depth_benefit,
-    mc_iterated_stats,
+    log_benefit_scores,
     mc_layer_trajectory,
     mc_single_layer_stats,
-    modified_depth_benefit,
     multi_layer_stats,
     signal_preservation_factor,
-    single_layer_stats,
 )
 
 UNIT = ClassStats(delta_sq=4.0, sigma_sq=1.0)
@@ -30,6 +23,12 @@ def random_profile(rng, max_degree=20, min_degree=0):
     d = int(rng.integers(min_degree, max_degree + 1))
     d_plus = int(rng.integers(0, d + 1))
     return NodeProfile(d_plus, d - d_plus, d)
+
+
+def log_benefit(p, n_layers, beta=1.0, gamma=1.0):
+    """log_benefit_scores of one profile's exact label counts."""
+    alpha = signal_preservation_factor(p)
+    return float(log_benefit_scores(alpha, p.degree, n_layers, beta, gamma))
 
 
 class TestSignalPreservation:
@@ -56,75 +55,69 @@ class TestSignalPreservation:
 
 class TestClosedForms:
     def test_single_layer_examples(self):
-        s = single_layer_stats(NodeProfile(3, 1, 4), UNIT)
+        s = multi_layer_stats(NodeProfile(3, 1, 4), UNIT, 1)
         assert s.signal_variance == pytest.approx(1.44)
         assert s.noise_variance == pytest.approx(0.2)
         assert s.quality == pytest.approx(7.2)
 
-        s = single_layer_stats(NodeProfile(0, 0, 0), UNIT)
+        s = multi_layer_stats(NodeProfile(0, 0, 0), UNIT, 1)
         assert (s.signal_variance, s.noise_variance, s.quality) == (4.0, 1.0, 4.0)
 
-        s = single_layer_stats(NodeProfile(2, 2, 4), UNIT)
+        s = multi_layer_stats(NodeProfile(2, 2, 4), UNIT, 1)
         assert s.quality == pytest.approx(0.8)
         assert s.quality < 4.0
 
     def test_zero_noise_rejected(self):
-        with pytest.raises(ValueError):
-            single_layer_stats(NodeProfile(1, 0, 1), ClassStats(4.0, 0.0))
-        with pytest.raises(ValueError):
-            multi_layer_stats(NodeProfile(1, 0, 1), ClassStats(4.0, 0.0), 2)
+        for n in (1, 2):
+            with pytest.raises(ValueError):
+                multi_layer_stats(NodeProfile(1, 0, 1), ClassStats(4.0, 0.0), n)
 
     def test_multi_layer(self):
-        one = multi_layer_stats(NodeProfile(3, 1, 4), UNIT, 1)
-        direct = single_layer_stats(NodeProfile(3, 1, 4), UNIT)
-        assert one == direct
-
         s = multi_layer_stats(NodeProfile(5, 0, 5), UNIT, 2)
         assert s.quality == pytest.approx(144.0)
 
         for n in (1, 2, 5):
             assert multi_layer_stats(NodeProfile(0, 1, 1), UNIT, n).signal_variance == 0.0
 
+        with pytest.raises(ValueError):
+            multi_layer_stats(NodeProfile(1, 0, 1), UNIT, 0)
+
     def test_stats_invariant_enforced(self):
+        # quality is derived from the two variances, never stored
+        assert AggregationStats(1.0, 0.5).quality == 2.0
+        assert AggregationStats(1.0, 0.0).quality == math.inf
         with pytest.raises(ValueError):
-            AggregationStats(signal_variance=1.0, noise_variance=0.5, quality=3.0)
+            AggregationStats(signal_variance=-1.0, noise_variance=0.5)
         with pytest.raises(ValueError):
-            AggregationStats(signal_variance=-1.0, noise_variance=0.5, quality=-2.0)
+            AggregationStats(signal_variance=1.0, noise_variance=-0.5)
 
 
 class TestDepthBenefit:
     def test_examples(self):
-        assert depth_benefit(NodeProfile(5, 0, 5), 2) == pytest.approx(36.0)
-        assert depth_benefit(NodeProfile(7, 3, 10), 0) == 1.0
-        assert depth_benefit(NodeProfile(0, 1, 1), 3) == 0.0
-        assert log_depth_benefit(NodeProfile(0, 1, 1), 3) == -math.inf
-
-    def test_log_matches_raw(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            p = random_profile(rng)
-            n = int(rng.integers(0, 6))
-            raw = depth_benefit(p, n)
-            lg = log_depth_benefit(p, n)
-            if raw == 0.0:
-                assert lg == -math.inf
-            else:
-                assert lg == pytest.approx(math.log(raw), rel=1e-12)
+        assert log_benefit(NodeProfile(5, 0, 5), 2) == pytest.approx(math.log(36.0))
+        assert log_benefit(NodeProfile(7, 3, 10), 1) == pytest.approx(
+            math.log((5 / 11) ** 2 * 11))
+        assert log_benefit(NodeProfile(0, 1, 1), 3) == -math.inf
 
     def test_monotone_in_layers(self):
+        # the log benefit is linear in the layer count, with the slope
+        # ln(alpha^2 (d + 1)) of one layer
         rng = np.random.default_rng(2)
         for _ in range(200):
             p = random_profile(rng)
             alpha = signal_preservation_factor(p)
             base = alpha * alpha * (p.degree + 1)
-            values = [depth_benefit(p, n) for n in range(5)]
+            values = np.array([log_benefit(p, n) for n in range(1, 5)])
+            if base == 0:
+                assert np.all(values == -math.inf)
+                continue
             diffs = np.diff(values)
             if base > 1:
                 assert np.all(diffs > 0)
             elif base < 1:
-                assert np.all(diffs <= 0)
+                assert np.all(diffs < 0)
             else:
-                assert np.all(np.asarray(values) == 1.0)
+                assert np.all(values == 0.0)
 
     def test_sign_symmetry(self):
         # (d_minus - 1, d_plus + 1) flips the factor's sign at equal degree
@@ -139,27 +132,23 @@ class TestDepthBenefit:
                 -signal_preservation_factor(p)
             )
             for n in (1, 2, 3):
-                assert depth_benefit(mirror, n) == pytest.approx(depth_benefit(p, n))
+                assert log_benefit(mirror, n) == pytest.approx(log_benefit(p, n))
             checked += 1
-
-    def test_hub_saturates_instead_of_raising(self):
-        assert depth_benefit(NodeProfile(500, 0, 500), 200) == math.inf
 
 
 class TestModifiedDepthBenefit:
     def test_identity_reduction(self):
+        # unit calibration factors leave the scores bit-identical
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = random_profile(rng)
-            n = int(rng.integers(0, 5))
-            assert modified_depth_benefit(p, IDENTITY_CALIBRATION, n) == pytest.approx(
-                depth_benefit(p, n)
-            )
+            n = int(rng.integers(1, 5))
+            assert log_benefit(p, n, 1.0, 1.0) == log_benefit(p, n)
 
     def test_examples(self):
         p = NodeProfile(5, 0, 5)
-        assert modified_depth_benefit(p, CalibrationFactors(0.5, 1.0), 1) == pytest.approx(3.0)
-        assert modified_depth_benefit(p, CalibrationFactors(1.0, 2.0), 2) == pytest.approx(9.0)
+        assert log_benefit(p, 1, 0.5, 1.0) == pytest.approx(math.log(3.0))
+        assert log_benefit(p, 2, 1.0, 2.0) == pytest.approx(math.log(9.0))
 
     def test_bad_factors_rejected(self):
         with pytest.raises(ValueError):
@@ -174,7 +163,7 @@ class TestMonteCarloSingleLayer:
     def test_matches_closed_form(self):
         p = NodeProfile(3, 1, 4)
         mc = mc_single_layer_stats(p, UNIT, trials=40_000, seed=10)
-        exact = single_layer_stats(p, UNIT)
+        exact = multi_layer_stats(p, UNIT, 1)
         assert mc.signal_variance == pytest.approx(exact.signal_variance, rel=0.03)
         assert mc.noise_variance == pytest.approx(exact.noise_variance, rel=0.03)
 
@@ -203,23 +192,23 @@ class TestMonteCarloSingleLayer:
 class TestMonteCarloIterated:
     def test_matches_multi_layer(self):
         p = NodeProfile(5, 0, 5)
-        mc = mc_iterated_stats(p, UNIT, n_layers=2, trials=50_000, seed=20)
+        signals, noises = mc_layer_trajectory(p, UNIT, 2, trials=50_000, seed=20)
         exact = multi_layer_stats(p, UNIT, 2)
-        assert mc.quality == pytest.approx(exact.quality, rel=0.05)
+        assert signals[-1] / noises[-1] == pytest.approx(exact.quality, rel=0.05)
 
     def test_single_layer_consistency(self):
         p = NodeProfile(3, 2, 5)
-        it = mc_iterated_stats(p, UNIT, n_layers=1, trials=50_000, seed=21)
+        signals, noises = mc_layer_trajectory(p, UNIT, 1, trials=50_000, seed=21)
         single = mc_single_layer_stats(p, UNIT, trials=50_000, seed=21)
-        assert it.signal_variance == pytest.approx(single.signal_variance, rel=0.05)
-        assert it.noise_variance == pytest.approx(single.noise_variance, rel=0.05)
+        assert signals[-1] == pytest.approx(single.signal_variance, rel=0.05)
+        assert noises[-1] == pytest.approx(single.noise_variance, rel=0.05)
 
     def test_cancellation_bound(self):
         p = NodeProfile(2, 2, 4)
         alpha = signal_preservation_factor(p)
-        mc = mc_iterated_stats(p, UNIT, n_layers=3, trials=50_000, seed=22)
+        signals, _ = mc_layer_trajectory(p, UNIT, 3, trials=50_000, seed=22)
         cap = (alpha ** 6) * UNIT.delta_sq * 1.1
-        assert mc.signal_variance <= max(cap, 1e-3)
+        assert signals[-1] <= max(cap, 1e-3)
 
     def test_trajectory_layer_zero_is_raw(self):
         p = NodeProfile(4, 1, 5)
@@ -255,15 +244,3 @@ class TestCalibration:
         with pytest.raises(ValueError):
             estimate_calibration_factors(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0, 2)
 
-
-class TestRegimes:
-    def test_examples(self):
-        assert corollary_regime(NodeProfile(9, 1, 10)) is Regime.STRONG_HOMOPHILY
-        assert corollary_regime(NodeProfile(1, 9, 10)) is Regime.STRONG_HETEROPHILY
-        assert corollary_regime(NodeProfile(5, 5, 10)) is Regime.MIXED
-        assert corollary_regime(NodeProfile(0, 0, 0)) is Regime.STRONG_HOMOPHILY
-
-    def test_threshold_edges(self):
-        assert corollary_regime(NodeProfile(8, 2, 10)) is Regime.STRONG_HOMOPHILY
-        assert corollary_regime(NodeProfile(2, 8, 10)) is Regime.STRONG_HETEROPHILY
-        assert corollary_regime(NodeProfile(3, 7, 10)) is Regime.MIXED

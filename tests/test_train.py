@@ -155,13 +155,6 @@ class TestMultiSeed:
         with pytest.raises(ValueError):
             RunResult(())
 
-    def test_json_dict_shape(self):
-        run = multi_seed(lambda s: stub_result(s, 0.5), [3])
-        d = run.as_json_dict()
-        assert set(d) == {"accuracy_mean", "accuracy_std", "seeds"}
-        assert d["seeds"][0]["seed"] == 3
-        assert "depth_histogram" in d["seeds"][0]
-
 
 class TestFitModel:
     def test_plain_backbone_learns_easy_instance(self):
