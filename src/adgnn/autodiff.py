@@ -4,7 +4,8 @@ Just enough machinery to train the models in this package: a Tensor wraps a
 float64 numpy array, primitives record their backward rules onto an active
 Tape, and backward() replays the tape once in reverse.  Graph aggregation is
 the only sparse piece; it is expressed as multiplication by a scipy.sparse
-operator, so its backward rule is multiplication by the transpose.
+operator, or by some of its rows, so its backward rule is multiplication by
+the transpose.
 
 Tensors are strictly 2-d and nothing broadcasts: the operands of an
 elementwise op have equal shapes.  A Tape belongs to a single forward/backward
@@ -34,6 +35,7 @@ __all__ = [
     "relu",
     "row_gather",
     "where_rows",
+    "scatter_rows",
     "dropout",
     "spmm_mean_self",
     "spmm_mean_nbr",
@@ -166,13 +168,22 @@ def _out(values: np.ndarray, *inputs: Tensor) -> Tensor:
     return t
 
 
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # numpy hands a one-row product to gemv, whose sums round unlike the
+    # rows of gemm; doubling the row keeps it on gemm, so a row of a
+    # product does not depend on how many rows are computed with it
+    if a.shape[0] == 1:
+        return (np.vstack([a, a]) @ b)[:1]
+    return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims {a.shape} vs {b.shape}")
-    out = _out(a.values @ b.values, a, b)
+    out = _out(_rows_product(a.values, b.values), a, b)
 
     def bwd(g):
-        return (g @ b.values.T if a.requires_grad else None,
+        return (_rows_product(g, b.values.T) if a.requires_grad else None,
                 a.values.T @ g if b.requires_grad else None)
 
     return _emit(out, (a, b), bwd)
@@ -236,6 +247,29 @@ def where_rows(row_condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
+def scatter_rows(a: Tensor, rows: np.ndarray, update: Tensor) -> Tensor:
+    """`a` with row rows[i] replaced by row i of `update`.  The rows are
+    strictly increasing; gradients route to the written rows of `update`
+    and to the other rows of `a`."""
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.ndim != 1 or update.shape != (idx.size, a.shape[1]):
+        raise ValueError("scatter_rows: one update row per index required")
+    if idx.size and (idx[0] < 0 or idx[-1] >= a.shape[0] or np.any(np.diff(idx) <= 0)):
+        raise ValueError("scatter_rows: indices must be increasing and in range")
+    values = a.values.copy()
+    values[idx] = update.values
+    out = _out(values, a, update)
+
+    def bwd(g):
+        g_a = None
+        if a.requires_grad:
+            g_a = g.copy()
+            g_a[idx] = 0.0
+        return (g_a, g[idx] if update.requires_grad else None)
+
+    return _emit(out, (a, update), bwd)
+
+
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with the mask drawn from `rng` and saved for backward."""
     if not 0.0 <= rate < 1.0:
@@ -257,6 +291,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 _operator_cache: "weakref.WeakKeyDictionary[Graph, dict[str, sp.csr_matrix]]" = weakref.WeakKeyDictionary()
+# graph -> {kind -> (rows, those rows of the operator)}: the last row slice
+# taken, which later calls reuse while they ask for the same rows
+_slice_cache: "weakref.WeakKeyDictionary[Graph, dict[str, tuple]]" = weakref.WeakKeyDictionary()
 
 
 def _operator(graph: Graph, kind: str) -> sp.csr_matrix:
@@ -282,34 +319,52 @@ def _operator(graph: Graph, kind: str) -> sp.csr_matrix:
     return op
 
 
-def _spmm(graph: Graph, h: Tensor, kind: str) -> Tensor:
+def _operator_rows(graph: Graph, kind: str, rows: np.ndarray) -> sp.csr_matrix:
+    last = _slice_cache.get(graph, {}).get(kind)
+    if last is not None and np.array_equal(last[0], rows):
+        return last[1]
+    op = _operator(graph, kind)[rows]
+    _slice_cache.setdefault(graph, {})[kind] = (rows.copy(), op)
+    return op
+
+
+def _spmm(graph: Graph, h: Tensor, kind: str, rows: np.ndarray | None) -> Tensor:
     if h.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match node count")
-    op = _operator(graph, kind)
+    if rows is None:
+        op = _operator(graph, kind)
+    else:
+        idx = np.asarray(rows, dtype=np.int64)
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= graph.num_nodes)):
+            raise ValueError("rows must be 1-d node indices")
+        op = _operator_rows(graph, kind, idx)
     out = _out(op @ h.values, h)
 
     def bwd(g):
-        # the transpose of a CSR matrix is a CSC view; nothing is copied
+        # the transpose of a CSR matrix is a CSC view; nothing is copied.
+        # It adds the rows of g in their order, so rows in increasing order
+        # sum as the full operator does with zeros in the rows left out
         return (op.T @ g,)
 
     return _emit(out, (h,), bwd)
 
 
-def spmm_mean_self(graph: Graph, h: Tensor) -> Tensor:
+def spmm_mean_self(graph: Graph, h: Tensor, rows: np.ndarray | None = None) -> Tensor:
     """Self-inclusive mean over neighbors:
     out_v = (h_v + sum of neighbor rows) / (degree + 1).
-    Isolated rows pass through unchanged."""
-    return _spmm(graph, h, "mean_self")
+    Isolated rows pass through unchanged.  With `rows`, only those output
+    rows are computed, in that order; every aggregator takes them."""
+    return _spmm(graph, h, "mean_self", rows)
 
 
-def spmm_mean_nbr(graph: Graph, h: Tensor) -> Tensor:
+def spmm_mean_nbr(graph: Graph, h: Tensor, rows: np.ndarray | None = None) -> Tensor:
     """Plain neighbor mean without the self term; isolated rows become 0."""
-    return _spmm(graph, h, "mean_nbr")
+    return _spmm(graph, h, "mean_nbr", rows)
 
 
-def spmm_symnorm(graph: Graph, h: Tensor) -> Tensor:
+def spmm_symnorm(graph: Graph, h: Tensor, rows: np.ndarray | None = None) -> Tensor:
     """Symmetric-normalized propagation with an implicit self loop."""
-    return _spmm(graph, h, "symnorm")
+    return _spmm(graph, h, "symnorm", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .autodiff import (
     dropout,
     matmul,
     relu,
+    row_gather,
     spmm_mean_nbr,
     spmm_mean_self,
     spmm_symnorm,
@@ -119,22 +120,26 @@ def layer_forward(
     h: Tensor,
     activate: bool = True,
     dropout_rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
     """One aggregating layer over every edge of the graph.
 
     gcn kinds compute relu(aggregate(H) @ W); sage_mean computes
     relu(H @ W + neighbor_mean(H) @ W_nbr).  Input dropout applies
-    only when a generator is supplied (training mode).
+    only when a generator is supplied (training mode), always to all of
+    H.  With `rows`, increasing node indices, the layer computes those
+    output rows alone, in that order.
     """
     if dropout_rng is not None and cfg.dropout > 0.0:
         h = dropout(h, cfg.dropout, dropout_rng)
     if cfg.kind == "sage_mean":
+        own = h if rows is None else row_gather(h, rows)
         out = add(
-            matmul(h, layer_params["weight"]),
-            matmul(spmm_mean_nbr(graph, h), layer_params["weight_nbr"]),
+            matmul(own, layer_params["weight"]),
+            matmul(spmm_mean_nbr(graph, h, rows), layer_params["weight_nbr"]),
         )
     else:
-        out = matmul(_AGGREGATORS[cfg.kind](graph, h), layer_params["weight"])
+        out = matmul(_AGGREGATORS[cfg.kind](graph, h, rows), layer_params["weight"])
     return relu(out) if activate else out
 
 

@@ -69,7 +69,12 @@ def _parse_seeds(args, config: dict) -> tuple[int, ...]:
         return (args.seed,)
     elif "seeds" in config:
         source = 'config "seeds"'
-        seeds = tuple(int(s) for s in config["seeds"])
+        seeds = config["seeds"]
+        # bool is a subclass of int, and JSON true must not run seed 1
+        if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
+            raise ValueError(f'config "seeds" must be a list of integers, got '
+                             f'{seeds!r}')
+        seeds = tuple(seeds)
     else:
         return ()
     if not seeds:

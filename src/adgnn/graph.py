@@ -57,6 +57,18 @@ class Graph:
         keep = src < self.csr_neighbors
         return np.stack([src[keep], self.csr_neighbors[keep]], axis=1)
 
+    def arc_edges(self) -> np.ndarray:
+        """Row of edges() holding each directed arc, aligned with
+        csr_neighbors: arcs u->v and v->u share one row."""
+        src, dst = self.arc_sources(), self.csr_neighbors
+        forward = src < dst
+        edge = np.cumsum(forward) - 1
+        # arcs are sorted by (source, target), so the reverse of an arc is
+        # found by binary search on that pair packed into one integer
+        key = src * self.num_nodes + dst
+        reverse = np.searchsorted(key, dst * self.num_nodes + src)
+        return np.where(forward, edge, edge[reverse])
+
     def arc_sources(self) -> np.ndarray:
         """Source node of every directed arc, aligned with csr_neighbors."""
         return np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))

@@ -8,8 +8,11 @@ and cut against a monotone learnable threshold curve to assign a
 stopping depth T(v).  The trunk then runs t_max gated convolutions:
 a node whose budget is spent keeps its embedding frozen, while active
 neighbors keep reading that frozen row.  Hard gating selects rows
-exactly; soft gating blends through a temperature sigmoid so the
-scoring parameters receive gradients.
+exactly, and a hard-gated layer with at most half its rows active
+computes only those rows; soft gating blends through a temperature
+sigmoid so the scoring parameters receive gradients.  The learned head
+is symmetric, so it scores each undirected edge once and both arcs of
+the edge read that score.
 
 With every stopping depth at t_max the gated trunk is bit-identical to
 ``backbones.plain_forward`` on the same parameters; ``trunk_params``
@@ -31,6 +34,7 @@ from .autodiff import (
     add,
     binary_cross_entropy,
     row_gather,
+    scatter_rows,
     tensor,
     where_rows,
 )
@@ -71,6 +75,9 @@ GATING_MODES = ("hard", "soft")
 
 # graph -> {score name -> per-arc values}; lives exactly as long as the graph
 _STRUCTURAL_SCORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# graph -> (edges, the edge of each arc): the rows the learned head scores
+# and the index that hands each edge's score to its two arcs
+_EDGE_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # Threshold curve init: raw slope/intercept chosen so the pre-mixture
 # sigmoid sits near 0.11 at layer 1, 0.30 at layer 2, and saturates by
@@ -369,9 +376,14 @@ def _arc_probabilities(
         if not on_tape:
             head = SimilarityHead(tensor(head.w1.values), tensor(head.w2.values))
             h0 = tensor(h0.values)
-        h_u = row_gather(h0, graph.arc_sources())
-        h_v = row_gather(h0, graph.csr_neighbors)
-        return pair_probability(head, h_u, h_v)
+        if graph not in _EDGE_INDEX:
+            _EDGE_INDEX[graph] = (graph.edges(), graph.arc_edges())
+        edges, arc_edge = _EDGE_INDEX[graph]
+        h_u = row_gather(h0, edges[:, 0])
+        h_v = row_gather(h0, edges[:, 1])
+        # the pair features are exactly symmetric, so an arc's score is the
+        # score of its edge bit for bit
+        return row_gather(pair_probability(head, h_u, h_v), arc_edge)
     key = "degree" if cfg.variant == "fast_degree" else cfg.heuristic_name
     return tensor(structural_scores(graph, key).reshape(-1, 1))
 
@@ -476,6 +488,15 @@ def _soft_gate(
     return _emit(out, (h, update, h, eps, tau), bwd)
 
 
+def _sliced_rows(active: np.ndarray) -> np.ndarray | None:
+    """The rows a hard-gated layer computes when it computes its active
+    rows alone, or None when it computes every row: slicing the operator
+    costs more than it saves once more than half the rows are active."""
+    if 2 * np.count_nonzero(active) > active.size:
+        return None
+    return np.flatnonzero(active)
+
+
 def forward(
     cfg: AdGnnConfig,
     params: dict[str, Tensor],
@@ -529,11 +550,19 @@ def forward(
         layer = {"weight": params[f"conv{t}.weight"]}
         if bb.kind == "sage_mean":
             layer["weight_nbr"] = params[f"conv{t}.weight_nbr"]
-        update = layer_forward(bb, layer, graph, h, True, dropout_rng)
         if soft:
+            update = layer_forward(bb, layer, graph, h, True, dropout_rng)
             h = _soft_gate(eps, tau, t, cfg.temperature, update, h)
+            continue
+        active = plan.active_nodes(t)
+        rows = _sliced_rows(active)
+        update = layer_forward(bb, layer, graph, h, True, dropout_rng, rows)
+        if rows is not None:
+            h = scatter_rows(h, rows, update)
+        elif active.all():
+            h = update
         else:
-            h = where_rows(plan.active_nodes(t), update, h)
+            h = where_rows(active, update, h)
 
     logits = dense_forward(
         bb,

@@ -247,6 +247,31 @@ class TestGradChecks:
 
         self.run_many(case, 24)
 
+    def test_scatter_rows(self):
+        def case(rng):
+            a = rand_tensor(rng, 6, 3)
+            rows = np.flatnonzero(rng.integers(0, 2, size=6))
+            update = rand_tensor(rng, rows.size, 3)
+            w = tensor(rng.standard_normal((6, 3)))
+            build = lambda: weighted_mean(ad.scatter_rows(a, rows, update), w)
+            return build, [a, update]
+
+        self.run_many(case, 26)
+
+    def test_spmm_row_slice(self):
+        def case(rng):
+            n = 7
+            g = build_graph(rng.integers(0, n, size=(12, 2)), n)
+            h = rand_tensor(rng, n, 3)
+            rows = np.flatnonzero(rng.integers(0, 2, size=n))
+            kind = [ad.spmm_mean_self, ad.spmm_mean_nbr, ad.spmm_symnorm][
+                int(rng.integers(3))
+            ]
+            w = tensor(rng.standard_normal((rows.size, 3)))
+            return (lambda: weighted_mean(kind(g, h, rows), w)), [h]
+
+        self.run_many(case, 27)
+
     def test_gcn_layer_composite(self):
         # full layer: relu(spmm(H) @ W) on random 10x8 instances; redraw when
         # a pre-activation sits inside the finite-difference straddle of the
@@ -339,6 +364,83 @@ class TestSpmmSemantics:
             loss = weighted_mean(spmm(g, h), w)
         expected = op.T.tocsr() @ ((1.0 / w.values.size) * w.values)
         np.testing.assert_array_equal(backward(tape, loss)[h], expected)
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize("spmm", [ad.spmm_mean_self, ad.spmm_mean_nbr,
+                                      ad.spmm_symnorm],
+                             ids=["mean_self", "mean_nbr", "symnorm"])
+    def test_spmm_rows_match_the_full_operator(self, spmm):
+        # a row slice computes its rows and their backward bit for bit as
+        # the full operator does with zero gradient in the other rows; row
+        # counts are powers of two, so the loss scales 1 / size are exact
+        rng = np.random.default_rng(9)
+        n = 32
+        g = build_graph(rng.integers(0, 24, size=(60, 2)), n)
+        for rows in (np.sort(rng.choice(n, 8, replace=False)), np.arange(n),
+                     np.array([5])):
+            h = rand_tensor(rng, n, 4)
+            w = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-6, 6, (n, 1))
+            full_w = np.zeros((n, 4))
+            full_w[rows] = w[rows] * (n // rows.size)
+            with Tape() as tape:
+                out = spmm(g, h, rows)
+                loss = weighted_mean(out, tensor(w[rows]))
+            sliced = backward(tape, loss)[h]
+            with Tape() as tape:
+                full = spmm(g, h)
+                loss = weighted_mean(full, tensor(full_w))
+            np.testing.assert_array_equal(out.values, full.values[rows])
+            np.testing.assert_array_equal(sliced, backward(tape, loss)[h])
+
+    def test_matmul_row_does_not_depend_on_row_count(self):
+        # one row rounds as it does among many rows, forward and backward;
+        # numpy alone hands a one-row product to gemv and moves last bits.
+        # Sizes are powers of two, so the loss passes g back exactly
+        rng = np.random.default_rng(11)
+        for width in (4, 16):
+            a = rand_tensor(rng, 300, width)
+            b = rand_tensor(rng, width, width)
+            g = rng.standard_normal((300, width))
+            for rows in ([7], [3, 250]):
+                part = tensor(a.values[rows], requires_grad=True)
+                size = len(rows) * width
+                with Tape() as tape:
+                    out = ad.matmul(part, b)
+                    loss = weighted_mean(out, tensor(g[rows] * size))
+                np.testing.assert_array_equal(out.values, (a.values @ b.values)[rows])
+                np.testing.assert_array_equal(backward(tape, loss)[part],
+                                              (g @ b.values.T)[rows])
+
+    def test_slice_reused_while_rows_repeat(self):
+        rng = np.random.default_rng(10)
+        g = build_graph(rng.integers(0, 12, size=(30, 2)), 12)
+        h = tensor(rng.standard_normal((12, 2)))
+        first = ad._operator_rows(g, "symnorm", np.array([1, 4, 7]))
+        assert ad._operator_rows(g, "symnorm", np.array([1, 4, 7])) is first
+        other = ad._operator_rows(g, "symnorm", np.array([1, 4]))
+        assert other is not first and other.shape == (2, 12)
+        np.testing.assert_array_equal(ad.spmm_symnorm(g, h, np.array([1, 4])).values,
+                                      ad.spmm_symnorm(g, h).values[[1, 4]])
+
+    def test_scatter_rows_values_and_validation(self):
+        a = tensor(np.arange(8.0).reshape(4, 2))
+        out = ad.scatter_rows(a, np.array([1, 3]), tensor([[-1.0, -2.0], [-3.0, -4.0]]))
+        np.testing.assert_array_equal(out.values, [[0, 1], [-1, -2], [4, 5], [-3, -4]])
+        np.testing.assert_array_equal(a.values, np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValueError):
+            ad.scatter_rows(a, np.array([3, 1]), tensor(np.zeros((2, 2))))
+        with pytest.raises(ValueError):
+            ad.scatter_rows(a, np.array([1, 4]), tensor(np.zeros((2, 2))))
+        with pytest.raises(ValueError):
+            ad.scatter_rows(a, np.array([1]), tensor(np.zeros((2, 2))))
+
+    def test_bad_rows_rejected(self):
+        g = build_graph([(0, 1), (1, 2)], 3)
+        h = tensor(np.ones((3, 2)))
+        for rows in (np.array([0, 3]), np.array([-1]), np.array([[0, 1]])):
+            with pytest.raises(ValueError):
+                ad.spmm_symnorm(g, h, rows)
 
 
 class TestLossValues:

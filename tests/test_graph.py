@@ -39,6 +39,7 @@ class TestBuildGraph:
         assert g.num_edges == 0
         assert list(degrees(g)) == [0, 0, 0, 0]
         assert g.edges().shape == (0, 2)
+        assert g.arc_edges().shape == (0,)
 
     def test_immutable(self):
         g = build_graph([(0, 1)], num_nodes=2)
@@ -60,6 +61,20 @@ class TestBuildGraph:
                 assert np.all(np.diff(nb) > 0)
             fwd = set(map(tuple, np.stack([src, g.csr_neighbors], axis=1)))
             assert all((b, a) in fwd for a, b in fwd)
+
+    def test_arc_edges_name_the_edge_of_each_arc(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            g = build_graph(random_edge_list(rng, n, int(rng.integers(0, 80))), n)
+            src, dst = g.arc_sources(), g.csr_neighbors
+            arc_edge = g.arc_edges()
+            assert arc_edge.shape == dst.shape
+            np.testing.assert_array_equal(
+                g.edges()[arc_edge],
+                np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1),
+            )
+            assert np.all(np.bincount(arc_edge, minlength=g.num_edges) == 2)
 
     def test_rebuild_from_edges_is_identity(self):
         rng = np.random.default_rng(8)

@@ -601,6 +601,20 @@ class TestCli:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("seeds", [5, [1.7], [True], [0, "1"]],
+                             ids=["scalar", "float", "bool", "string"])
+    def test_config_seeds_must_be_integers(self, tmp_path, capsys, seeds):
+        # a scalar used to crash with a TypeError; a float or a bool ran
+        # int() of it and exited 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "grid": [0.9], "seeds": seeds}))
+        out = tmp_path / "r.csv"
+        assert main(["sweep-homophily", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert 'config "seeds" must be a list of integers' in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBenchmarkTraceTargets:
     @pytest.fixture
     def tracing(self, monkeypatch):

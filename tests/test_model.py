@@ -6,9 +6,16 @@ import pytest
 from scipy.special import expit
 
 from adgnn import model as mod
-from adgnn.autodiff import Tape, softmax_cross_entropy, tensor, where_rows
-from adgnn.backbones import BackboneConfig, plain_forward
-from adgnn.graph import LabelVector, NodeProfile, build_graph, degrees, profile_counts
+from adgnn.autodiff import Tape, backward, softmax_cross_entropy, tensor, where_rows
+from adgnn.backbones import BackboneConfig, dense_forward, layer_forward, plain_forward
+from adgnn.graph import (
+    Graph,
+    LabelVector,
+    NodeProfile,
+    build_graph,
+    degrees,
+    profile_counts,
+)
 from adgnn.model import (
     AdGnnConfig,
     DepthPlan,
@@ -682,10 +689,12 @@ class TestSoftGating:
 
     @pytest.mark.parametrize("t_max", [1, 4])
     def test_each_gated_layer_records_one_node(self, t_max):
-        # a soft layer costs one node, as a hard where_rows layer does; the
-        # soft pass adds the score node, the threshold node and the head's
-        # three (two row gathers and the pair probability), which hard
-        # gating computes off the tape
+        # a soft layer costs one gate node, as a hard layer does with its
+        # where_rows or scatter_rows, unless every row is active and the
+        # hard layer takes the update as it is; the soft pass adds the
+        # score node, the threshold node and the head's four (two row
+        # gathers, the pair probability and its gather onto the arcs),
+        # which hard gating computes off the tape
         rng = np.random.default_rng(26)
         g = random_graph(rng, 20, 50)
         cfg = config(t_max=t_max, hidden=4, lambda_weight=0.1)
@@ -694,9 +703,10 @@ class TestSoftGating:
         lengths = {}
         for gating in ("hard", "soft"):
             with Tape() as tape:
-                forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+                res = forward(dataclasses.replace(cfg, gating=gating), params, g, x)
             lengths[gating] = len(tape)
-        assert lengths["soft"] == lengths["hard"] + 5
+        full = sum(res.plan.active_nodes(t).all() for t in range(1, t_max + 1))
+        assert lengths["soft"] == lengths["hard"] + 6 + full
 
     def test_hard_tape_nodes_all_reach_the_loss(self):
         # hard gating cuts the plan on constant scores, so no node of the
@@ -754,6 +764,150 @@ class TestSoftGating:
 
             assert check_gradients(build, leaves) < REL_TOL
             checked += 1
+
+
+def reference_hard_forward(cfg, params, g, x, depth, rng=None):
+    """The hard-gated trunk as written before row slicing: every layer
+    computes every row and where_rows (np.where) keeps the active ones."""
+    bb = cfg.backbone
+    h0 = dense_forward(bb, {"weight": params["dense0.weight"]}, x, True, rng)
+    h = h0
+    for t in range(1, cfg.t_max + 1):
+        layer = {k.split(".")[1]: v for k, v in params.items()
+                 if k.startswith(f"conv{t}.")}
+        h = where_rows(depth >= t, layer_forward(bb, layer, g, h, True, rng), h)
+    out = {"weight": params[f"dense{cfg.t_max + 1}.weight"]}
+    return dense_forward(bb, out, h, False, rng), h0
+
+
+class TestHardRowSlices:
+    # active rows per layer: 12 (every row), 9 (more than half), 6 (half),
+    # 3, 1 and 0; the layers compute 12, 12, 6, 3, 1 and 0 rows
+    DEPTHS = np.array([1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5])
+    COMPUTED = [12, 12, 6, 3, 1, 0]
+
+    def setup_case(self, kind, dropout, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, 12, 30)
+        bb = BackboneConfig(kind=kind, layers=6, hidden_dim=4, dropout=dropout)
+        cfg = AdGnnConfig(t_max=6, backbone=bb)
+        params = init_adgnn_params(cfg, 3, 2, seed=int(rng.integers(1 << 30)))
+        x = tensor(rng.standard_normal((12, 3)))
+        labels = rng.integers(0, 2, size=12)
+        return cfg, params, g, x, labels, rng.permutation(self.DEPTHS)
+
+    @staticmethod
+    def step(cfg, params, g, x, labels, build):
+        # one hard training step: loss and leaf gradients as fit_model forms them
+        with Tape() as tape:
+            logits, h0 = build()
+            task = softmax_cross_entropy(logits, labels, np.ones(12, bool))
+            reg = regularization_loss(mod.similarity_head(params), h0, g.edges(), labels)
+            loss = total_loss(task, reg, cfg.variant)
+        grads = backward(tape, loss)
+        return logits.values, loss.item(), {k: grads[p] for k, p in params.items()
+                                             if p in grads}
+
+    @pytest.mark.parametrize("kind", ["gcn_symnorm", "gcn_rownorm", "sage_mean"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_training_step_matches_every_row_reference(self, kind, dropout, monkeypatch):
+        for seed in range(4):
+            cfg, params, g, x, labels, depth = self.setup_case(kind, dropout, seed)
+            computed = []
+
+            def spy(*args, **kwargs):
+                out = layer_forward(*args, **kwargs)
+                computed.append(out.shape[0])
+                return out
+
+            monkeypatch.setattr(mod, "layer_forward", spy)
+            rng = np.random.default_rng(seed) if dropout else None
+            ref_rng = np.random.default_rng(seed) if dropout else None
+
+            def gated():
+                res = forward(cfg, params, g, x, dropout_rng=rng, depth_override=depth)
+                np.testing.assert_array_equal(res.plan.stopping_depth, depth)
+                return res.logits, res.h0
+
+            logits, loss, grads = self.step(cfg, params, g, x, labels, gated)
+            assert computed == self.COMPUTED
+            monkeypatch.undo()
+            ref = self.step(cfg, params, g, x, labels,
+                            lambda: reference_hard_forward(cfg, params, g, x, depth,
+                                                           ref_rng))
+            np.testing.assert_array_equal(logits, ref[0])
+            assert loss == ref[1]
+            assert grads.keys() == ref[2].keys()
+            for name in grads:
+                np.testing.assert_array_equal(grads[name], ref[2][name], err_msg=name)
+            if dropout:
+                # every layer drew its mask over all rows, as the reference did
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_planned_forward_matches_reference(self):
+        # the forward's own plan, not an override, picks the same rows
+        rng = np.random.default_rng(31)
+        for kind in ("gcn_symnorm", "gcn_rownorm", "sage_mean"):
+            g = random_graph(rng, 40, 100)
+            cfg = config(t_max=5, hidden=4, kind=kind, lambda_weight=0.3)
+            params = init_adgnn_params(cfg, 3, 2, seed=int(rng.integers(1 << 30)))
+            x = tensor(rng.standard_normal((40, 3)))
+            res = forward(cfg, params, g, x)
+            depth = res.plan.stopping_depth
+            assert any(0 < (depth >= t).sum() <= 20 for t in range(1, 6))
+            ref, _ = reference_hard_forward(cfg, params, g, x, depth)
+            np.testing.assert_array_equal(res.logits.values, ref.values)
+
+
+class TestEdgeScoring:
+    def setup_case(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, 30, 80)
+        cfg = config(t_max=2, hidden=5, head_hidden=6)
+        params = init_adgnn_params(cfg, 4, 2, seed=seed)
+        return cfg, params, g, tensor(rng.standard_normal((30, 4)))
+
+    @pytest.mark.parametrize("gating", ["hard", "soft"])
+    def test_arc_probs_equal_scoring_each_arc(self, gating):
+        for seed in range(5):
+            cfg, params, g, x = self.setup_case(seed)
+            res = forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+            h0 = res.h0.values
+            per_arc = pair_probability(
+                mod.similarity_head(params),
+                tensor(h0[g.arc_sources()]), tensor(h0[g.csr_neighbors]),
+            )
+            np.testing.assert_array_equal(res.arc_probs.values, per_arc.values)
+
+    def test_head_scores_each_edge_once(self, monkeypatch):
+        cfg, params, g, x = self.setup_case(7)
+        rows = []
+
+        def spy(head, h_u, h_v):
+            rows.append(h_u.shape[0])
+            return pair_probability(head, h_u, h_v)
+
+        monkeypatch.setattr(mod, "pair_probability", spy)
+        for gating in ("hard", "soft"):
+            forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+        assert rows == [g.num_edges, g.num_edges]
+
+    def test_arc_edge_index_built_once_per_graph(self, monkeypatch):
+        cfg, params, g, x = self.setup_case(8)
+        built = []
+
+        def spy(graph):
+            built.append(graph)
+            return arc_edges(graph)
+
+        arc_edges = Graph.arc_edges
+        monkeypatch.setattr(Graph, "arc_edges", spy)
+        forward(cfg, params, g, x)
+        forward(dataclasses.replace(cfg, gating="soft"), params, g, x)
+        assert built == [g]
+        other = build_graph(g.edges(), g.num_nodes)
+        forward(cfg, params, other, x)
+        assert built == [g, other]
 
 
 class TestLosses:
