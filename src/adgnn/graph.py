@@ -9,6 +9,7 @@ time, and never re-checked downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,9 +58,11 @@ class Graph:
         keep = src < self.csr_neighbors
         return np.stack([src[keep], self.csr_neighbors[keep]], axis=1)
 
+    @cached_property
     def arc_edges(self) -> np.ndarray:
         """Row of edges() holding each directed arc, aligned with
-        csr_neighbors: arcs u->v and v->u share one row."""
+        csr_neighbors: arcs u->v and v->u share one row.  Built on first
+        read and kept for the graph's lifetime."""
         src, dst = self.arc_sources(), self.csr_neighbors
         forward = src < dst
         edge = np.cumsum(forward) - 1
@@ -67,7 +70,9 @@ class Graph:
         # found by binary search on that pair packed into one integer
         key = src * self.num_nodes + dst
         reverse = np.searchsorted(key, dst * self.num_nodes + src)
-        return np.where(forward, edge, edge[reverse])
+        index = np.where(forward, edge, edge[reverse])
+        index.flags.writeable = False
+        return index
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every directed arc, aligned with csr_neighbors."""

@@ -39,7 +39,7 @@ class TestBuildGraph:
         assert g.num_edges == 0
         assert list(degrees(g)) == [0, 0, 0, 0]
         assert g.edges().shape == (0, 2)
-        assert g.arc_edges().shape == (0,)
+        assert g.arc_edges.shape == (0,)
 
     def test_immutable(self):
         g = build_graph([(0, 1)], num_nodes=2)
@@ -68,8 +68,9 @@ class TestBuildGraph:
             n = int(rng.integers(1, 30))
             g = build_graph(random_edge_list(rng, n, int(rng.integers(0, 80))), n)
             src, dst = g.arc_sources(), g.csr_neighbors
-            arc_edge = g.arc_edges()
+            arc_edge = g.arc_edges
             assert arc_edge.shape == dst.shape
+            assert g.arc_edges is arc_edge and not arc_edge.flags.writeable
             np.testing.assert_array_equal(
                 g.edges()[arc_edge],
                 np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1),

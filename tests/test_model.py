@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -690,11 +691,10 @@ class TestSoftGating:
     @pytest.mark.parametrize("t_max", [1, 4])
     def test_each_gated_layer_records_one_node(self, t_max):
         # a soft layer costs one gate node, as a hard layer does with its
-        # where_rows or scatter_rows, unless every row is active and the
-        # hard layer takes the update as it is; the soft pass adds the
-        # score node, the threshold node and the head's four (two row
-        # gathers, the pair probability and its gather onto the arcs),
-        # which hard gating computes off the tape
+        # where_rows or scatter_rows; the soft pass adds the score node,
+        # the threshold node and the head's four (two row gathers, the
+        # pair probability and its gather onto the arcs), which hard
+        # gating computes off the tape
         rng = np.random.default_rng(26)
         g = random_graph(rng, 20, 50)
         cfg = config(t_max=t_max, hidden=4, lambda_weight=0.1)
@@ -703,10 +703,9 @@ class TestSoftGating:
         lengths = {}
         for gating in ("hard", "soft"):
             with Tape() as tape:
-                res = forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+                forward(dataclasses.replace(cfg, gating=gating), params, g, x)
             lengths[gating] = len(tape)
-        full = sum(res.plan.active_nodes(t).all() for t in range(1, t_max + 1))
-        assert lengths["soft"] == lengths["hard"] + 6 + full
+        assert lengths["soft"] == lengths["hard"] + 6
 
     def test_hard_tape_nodes_all_reach_the_loss(self):
         # hard gating cuts the plan on constant scores, so no node of the
@@ -780,6 +779,14 @@ def reference_hard_forward(cfg, params, g, x, depth, rng=None):
     return dense_forward(bb, out, h, False, rng), h0
 
 
+def assert_matches_reference(actual, expected, name=""):
+    # the sliced layers run the reference's sparse arithmetic row for row,
+    # but their dense products have fewer rows, and BLAS does not promise
+    # that a row of gemm rounds alike at every row count
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-14,
+                               err_msg=name)
+
+
 class TestHardRowSlices:
     # active rows per layer: 12 (every row), 9 (more than half), 6 (half),
     # 3, 1 and 0; the layers compute 12, 12, 6, 3, 1 and 0 rows
@@ -835,11 +842,11 @@ class TestHardRowSlices:
             ref = self.step(cfg, params, g, x, labels,
                             lambda: reference_hard_forward(cfg, params, g, x, depth,
                                                            ref_rng))
-            np.testing.assert_array_equal(logits, ref[0])
-            assert loss == ref[1]
+            assert_matches_reference(logits, ref[0])
+            assert_matches_reference(loss, ref[1])
             assert grads.keys() == ref[2].keys()
             for name in grads:
-                np.testing.assert_array_equal(grads[name], ref[2][name], err_msg=name)
+                assert_matches_reference(grads[name], ref[2][name], name)
             if dropout:
                 # every layer drew its mask over all rows, as the reference did
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -856,7 +863,7 @@ class TestHardRowSlices:
             depth = res.plan.stopping_depth
             assert any(0 < (depth >= t).sum() <= 20 for t in range(1, 6))
             ref, _ = reference_hard_forward(cfg, params, g, x, depth)
-            np.testing.assert_array_equal(res.logits.values, ref.values)
+            assert_matches_reference(res.logits.values, ref.values)
 
 
 class TestEdgeScoring:
@@ -900,8 +907,10 @@ class TestEdgeScoring:
             built.append(graph)
             return arc_edges(graph)
 
-        arc_edges = Graph.arc_edges
-        monkeypatch.setattr(Graph, "arc_edges", spy)
+        arc_edges = Graph.__dict__["arc_edges"].func
+        cached = functools.cached_property(spy)
+        cached.__set_name__(Graph, "arc_edges")
+        monkeypatch.setattr(Graph, "arc_edges", cached)
         forward(cfg, params, g, x)
         forward(dataclasses.replace(cfg, gating="soft"), params, g, x)
         assert built == [g]
