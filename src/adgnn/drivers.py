@@ -35,7 +35,7 @@ from .csbm import (
 from .datasets import load_dataset, save_dataset
 from .graph import NodeProfile, degrees, make_split, profile_counts
 from .heuristics import HEURISTIC_NAMES, degree_similarity, heuristic_similarity
-from .model import AdGnnConfig, structural_scores
+from .model import VARIANTS, AdGnnConfig, structural_scores
 from .theory import (
     estimated_alpha,
     log_benefit_scores,
@@ -107,14 +107,21 @@ _MODEL_DEFAULTS = {
     "temperature": 0.1,
     "heuristic_name": "common_neighbors",
     "head_hidden": 16,
-    "beta": 1.0,
-    "gamma": 1.0,
 }
 _MODEL_KEYS = frozenset(_MODEL_DEFAULTS)
 # the model keys a plain backbone has no use for
 _ADAPTIVE_KEYS = _MODEL_KEYS - {"model", "kind", "layers"}
 
-_MODEL_NAMES = ("plain", "learned", "fast_degree", "heuristic", "modified")
+_MODEL_NAMES = ("plain",) + VARIANTS
+
+# how each config value type is read: the Python types it takes, and its
+# name for one value and for a list.  bool subclasses int, and JSON true
+# must not train at width 1
+_READ_AS = {
+    int: ((int,), "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    str: ((str,), "a string", "strings"),
+}
 
 
 @dataclass(frozen=True)
@@ -144,23 +151,44 @@ def _check_keys(cfg: dict, allowed: frozenset | set, kind: str) -> None:
         raise ValueError(f"unknown config keys for {kind}: {unknown}")
 
 
+def _read(cfg: dict, key: str, of: type, default=None, many: bool = False):
+    """cfg[key], or default when the key is absent, as an `of` (int,
+    float or str), or as a list of them when many.  A value of another
+    type is a config error naming the key: no bool is a number, an
+    integer takes no fraction, and a list key takes no scalar."""
+    value = cfg.get(key, default)
+    accepted, one, several = _READ_AS[of]
+    if many and not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key {key!r} must be a list of {several}, "
+                         f"got {value!r}")
+    items = value if many else [value]
+    if any(isinstance(v, bool) or not isinstance(v, accepted) for v in items):
+        what = f"a list of {several}" if many else one
+        raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+    read = [of(v) for v in items]
+    return read if many else read[0]
+
+
 def _csbm_params(cfg: dict, **overrides) -> CsbmParams:
     merged = dict(_CSBM_DEFAULTS)
     merged.update({k: cfg[k] for k in cfg if k in _CSBM_KEYS})
     merged.update(overrides)
+    n0, n1 = _read(merged, "n0", int), _read(merged, "n1", int)
     p_in, p_out = homophily_from_target(
-        float(merged["homophily"]),
-        float(merged["mean_degree"]),
-        int(merged["n0"]),
-        int(merged["n1"]),
+        _read(merged, "homophily", float),
+        _read(merged, "mean_degree", float),
+        n0,
+        n1,
     )
-    mu0, mu1 = canonical_prototypes(float(merged["delta_sq"]), int(merged["dim"]))
+    mu0, mu1 = canonical_prototypes(
+        _read(merged, "delta_sq", float), _read(merged, "dim", int)
+    )
     return CsbmParams(
-        n0=int(merged["n0"]),
-        n1=int(merged["n1"]),
+        n0=n0,
+        n1=n1,
         mu0=mu0,
         mu1=mu1,
-        sigma=float(merged["sigma"]),
+        sigma=_read(merged, "sigma", float),
         p_in=p_in,
         p_out=p_out,
     )
@@ -171,10 +199,12 @@ def _train_config(cfg: dict) -> TrainConfig:
     merged.update({k: cfg[k] for k in cfg if k in _TRAIN_KEYS})
     patience = merged["early_stop_patience"]
     return TrainConfig(
-        epochs=int(merged["epochs"]),
-        lr=float(merged["lr"]),
-        weight_decay=float(merged["weight_decay"]),
-        early_stop_patience=None if patience is None else int(patience),
+        epochs=_read(merged, "epochs", int),
+        lr=_read(merged, "lr", float),
+        weight_decay=_read(merged, "weight_decay", float),
+        early_stop_patience=(
+            None if patience is None else _read(merged, "early_stop_patience", int)
+        ),
     )
 
 
@@ -190,24 +220,34 @@ def _model_config(cfg: dict, **overrides):
         raise ValueError(f"kind must be one of {BACKBONE_KINDS}")
     backbone = BackboneConfig(
         kind=merged["kind"],
-        layers=int(merged["layers"]),
-        hidden_dim=int(merged["hidden"]),
-        dropout=float(merged["dropout"]),
+        layers=_read(merged, "layers", int),
+        hidden_dim=_read(merged, "hidden", int),
+        dropout=_read(merged, "dropout", float),
     )
     if name == "plain":
         return backbone
-    return AdGnnConfig(
-        t_max=int(merged["layers"]),
+    model = AdGnnConfig(
+        t_max=backbone.layers,
         backbone=backbone,
-        lambda_weight=float(merged["lambda"]),
+        lambda_weight=_read(merged, "lambda", float),
         variant=name,
         heuristic_name=merged["heuristic_name"],
         gating=merged["gating"],
-        temperature=float(merged["temperature"]),
-        head_hidden=int(merged["head_hidden"]),
-        beta=float(merged["beta"]),
-        gamma=float(merged["gamma"]),
+        temperature=_read(merged, "temperature", float),
+        head_hidden=_read(merged, "head_hidden", int),
     )
+    # a key the built model never reads is an error when the config sets
+    # it; a driver's overrides may set it for every model they build
+    reads = {
+        "heuristic_name": name == "heuristic",
+        "head_hidden": name == "learned",
+        "temperature": model.gating == "soft",
+    }
+    unread = sorted(k for k, used in reads.items() if k in cfg and not used)
+    if unread:
+        raise ValueError(f"config keys {unread} are not read by the {name} "
+                         f"model under {model.gating} gating")
+    return model
 
 
 def _train_seeds(
@@ -311,14 +351,14 @@ def run_theory_validate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     allowed = {"profiles", "max_degree", "trials", "delta_sq", "sigma_sq", "dim"}
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    count = int(cfg.get("profiles", 50))
-    max_degree = int(cfg.get("max_degree", 20))
-    trials = int(cfg.get("trials", 100_000))
+    count = _read(cfg, "profiles", int, 50)
+    max_degree = _read(cfg, "max_degree", int, 20)
+    trials = _read(cfg, "trials", int, 100_000)
     stats = ClassStats(
-        delta_sq=float(cfg.get("delta_sq", 4.0)),
-        sigma_sq=float(cfg.get("sigma_sq", 1.0)),
+        delta_sq=_read(cfg, "delta_sq", float, 4.0),
+        sigma_sq=_read(cfg, "sigma_sq", float, 1.0),
     )
-    dim = int(cfg.get("dim", 8))
+    dim = _read(cfg, "dim", int, 8)
     if count < 1 or max_degree < 1:
         raise ValueError("profiles and max_degree must be positive")
     base_seed = spec.seeds[0]
@@ -372,7 +412,7 @@ def run_sweep_homophily(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     )
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    grid = [float(h) for h in cfg.get("grid", (0.0, 0.25, 0.5, 0.75, 1.0))]
+    grid = _read(cfg, "grid", float, (0.0, 0.25, 0.5, 0.75, 1.0), many=True)
     if any(h < 0.0 or h > 1.0 for h in grid):
         raise ValueError("homophily grid must lie in [0, 1]")
     tc = _train_config(cfg)
@@ -392,7 +432,7 @@ def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[li
     allowed = _CSBM_KEYS | _TRAIN_KEYS | {"thresholds", "kind", "layers"}
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    thresholds = [int(t) for t in cfg.get("thresholds", (0, 2, 4, 6))]
+    thresholds = _read(cfg, "thresholds", int, (0, 2, 4, 6), many=True)
     if any(t < 0 for t in thresholds):
         raise ValueError("degree thresholds must be non-negative")
     tc = _train_config(cfg)
@@ -422,7 +462,7 @@ def run_sweep_depth(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     allowed = _CSBM_KEYS | _TRAIN_KEYS | (_MODEL_KEYS - {"layers"}) | {"depths"}
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    depths = [int(d) for d in cfg.get("depths", (1, 2, 4, 8, 16, 32))]
+    depths = _read(cfg, "depths", int, (1, 2, 4, 8, 16, 32), many=True)
     if any(d < 1 for d in depths):
         raise ValueError("depths must be positive")
     tc = _train_config(cfg)
@@ -447,7 +487,7 @@ def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     )
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    lambdas = [float(v) for v in cfg.get("lambdas", (0.0, 0.25, 0.5, 0.75, 1.0))]
+    lambdas = _read(cfg, "lambdas", float, (0.0, 0.25, 0.5, 0.75, 1.0), many=True)
     if any(v < 0.0 or v > 1.0 for v in lambdas):
         raise ValueError("lambda grid must lie in [0, 1]")
     tc = _train_config(cfg)
@@ -473,7 +513,7 @@ def run_profile_depth_benefit(spec: ExperimentSpec) -> tuple[list[str], list[lis
     allowed = _CSBM_KEYS | {"n_layers"}
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    n_layers = int(cfg.get("n_layers", 2))
+    n_layers = _read(cfg, "n_layers", int, 2)
     if n_layers < 1:
         raise ValueError("n_layers must be positive")
     params = _csbm_params(cfg)
@@ -507,7 +547,7 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
     )
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    names = list(cfg.get("heuristics", list(HEURISTIC_NAMES) + ["degree"]))
+    names = _read(cfg, "heuristics", str, HEURISTIC_NAMES + ("degree",), many=True)
     if not names:
         raise ValueError("heuristic list must be nonempty")
     if len(set(names)) != len(names):
@@ -518,10 +558,10 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
                 f"unknown heuristic {name!r}; choose from "
                 f"{HEURISTIC_NAMES + ('degree',)}"
             )
-    repeats = int(cfg.get("timing_repeats", 3))
+    repeats = _read(cfg, "timing_repeats", int, 3)
     tc = _train_config(cfg)
     params = _csbm_params(cfg)
-    data = sample_graph(params, seed=int(cfg.get("data_seed", 0)))
+    data = sample_graph(params, seed=_read(cfg, "data_seed", int, 0))
     graph = data[0]
     rows = []
     for name in names:

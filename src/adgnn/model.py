@@ -70,7 +70,7 @@ __all__ = [
     "heuristic_similarity",
 ]
 
-VARIANTS = ("learned", "fast_degree", "heuristic", "modified")
+VARIANTS = ("learned", "fast_degree", "heuristic")
 GATING_MODES = ("hard", "soft")
 
 # graph -> {score name -> per-arc values}; lives exactly as long as the graph
@@ -162,8 +162,6 @@ class AdGnnConfig:
     gating: str = "hard"
     temperature: float = 0.1
     head_hidden: int = 16
-    beta: float = 1.0
-    gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if self.t_max < 1:
@@ -183,8 +181,6 @@ class AdGnnConfig:
             raise ValueError("temperature must be finite and positive")
         if self.head_hidden < 1:
             raise ValueError("head_hidden must be positive")
-        if not all(np.isfinite(c) and c > 0.0 for c in (self.beta, self.gamma)):
-            raise ValueError("calibration factors must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -344,31 +340,11 @@ def structural_scores(graph: Graph, key: str) -> np.ndarray:
     return cached[key]
 
 
-def _per_node_calibration(
-    cfg: AdGnnConfig,
-    num_nodes: int,
-    calibration: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.variant != "modified":
-        if calibration is not None:
-            raise ValueError("per-node calibration is a modified-variant input")
-        return np.ones(num_nodes), np.ones(num_nodes)
-    if calibration is None:
-        return np.full(num_nodes, cfg.beta), np.full(num_nodes, cfg.gamma)
-    beta = np.asarray(calibration[0], dtype=np.float64).reshape(-1)
-    gamma = np.asarray(calibration[1], dtype=np.float64).reshape(-1)
-    if beta.shape != (num_nodes,) or gamma.shape != (num_nodes,):
-        raise ValueError("calibration arrays must carry one value per node")
-    if not np.all(np.isfinite(beta) & np.isfinite(gamma) & (beta > 0) & (gamma > 0)):
-        raise ValueError("calibration factors must be finite and positive")
-    return beta, gamma
-
-
 def _arc_probabilities(
     cfg: AdGnnConfig, params: dict[str, Tensor], graph: Graph, h0: Tensor,
     on_tape: bool,
 ) -> Tensor:
-    if cfg.variant in ("learned", "modified"):
+    if cfg.variant == "learned":
         head = similarity_head(params)
         if not on_tape:
             head = SimilarityHead(tensor(head.w1.values), tensor(head.w2.values))
@@ -384,12 +360,7 @@ def _arc_probabilities(
 
 
 def _soft_scores(
-    arc_probs: Tensor,
-    graph: Graph,
-    deg: np.ndarray,
-    t_max: int,
-    beta: np.ndarray,
-    gamma: np.ndarray,
+    arc_probs: Tensor, graph: Graph, deg: np.ndarray, t_max: int
 ) -> Tensor:
     """Normalized depth scores as one tape node: the one score path.
 
@@ -403,7 +374,7 @@ def _soft_scores(
     """
     d_plus, d_minus = expected_label_counts(graph, arc_probs.values)
     alpha = estimated_alpha(d_plus, d_minus, deg)
-    score = log_benefit_scores(alpha, deg, t_max, beta, gamma)
+    score = log_benefit_scores(alpha, deg, t_max)
     eps = minmax_normalize(score)
     live = np.flatnonzero(np.isfinite(score))
     if live.size == 0:
@@ -502,16 +473,13 @@ def forward(
     x: Tensor,
     dropout_rng: np.random.Generator | None = None,
     depth_override: np.ndarray | None = None,
-    calibration: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardResult:
     """Full gated pass: embed, score, plan, t_max gated convs, classify.
 
     Stopped nodes keep frozen rows that active neighbors continue to read,
     so an active node always aggregates its entire neighborhood at full
     normalization; filtering decides who receives fresh messages, not what
-    they read.  depth_override forces the plan (hard gating only);
-    calibration supplies per-node score corrections for the modified
-    variant, defaulting to the config's global pair.
+    they read.  depth_override forces the plan (hard gating only).
     """
     if x.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match node count")
@@ -528,8 +496,7 @@ def forward(
     arc_probs = _arc_probabilities(cfg, params, graph, h0, on_tape=soft)
 
     deg = degrees(graph).astype(np.float64)
-    beta, gamma = _per_node_calibration(cfg, graph.num_nodes, calibration)
-    eps = _soft_scores(arc_probs, graph, deg, cfg.t_max, beta, gamma)
+    eps = _soft_scores(arc_probs, graph, deg, cfg.t_max)
     tf = threshold_function(cfg, params)
     if soft:
         tau = _thresholds(tf, cfg.t_max)
@@ -590,11 +557,6 @@ def regularization_loss(
     return binary_cross_entropy(probs, target)
 
 
-def total_loss(task_loss: Tensor, reg_loss: Tensor, variant: str) -> Tensor:
-    """Task loss plus unweighted pair loss for the variants that train a
-    head; task loss alone otherwise."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if variant in ("learned", "modified"):
-        return add(task_loss, reg_loss)
-    return task_loss
+def total_loss(task_loss: Tensor, reg_loss: Tensor) -> Tensor:
+    """Task loss plus the unweighted pair loss of the learned head."""
+    return add(task_loss, reg_loss)

@@ -90,18 +90,13 @@ def estimated_alpha(
 
 
 def log_benefit_scores(
-    alpha_hat: np.ndarray,
-    degree: np.ndarray,
-    t_max: int,
-    beta: np.ndarray | float = 1.0,
-    gamma: np.ndarray | float = 1.0,
+    alpha_hat: np.ndarray, degree: np.ndarray, t_max: int
 ) -> np.ndarray:
     """Log-domain depth benefit over t_max layers per node.
 
-    t_max * (2 ln|alpha| + ln(d + 1) + ln beta - ln gamma); |alpha| at or
-    below _ALPHA_FLOOR yields the -inf sentinel.  Log domain keeps
-    t_max = 32 finite and is rank-preserving, which is all min-max
-    normalization needs.
+    t_max * (2 ln|alpha| + ln(d + 1)); |alpha| at or below _ALPHA_FLOOR
+    yields the -inf sentinel.  Log domain keeps t_max = 32 finite and is
+    rank-preserving, which is all min-max normalization needs.
     """
     a = np.abs(np.asarray(alpha_hat, dtype=np.float64))
     deg = np.asarray(degree, dtype=np.float64)
@@ -109,8 +104,6 @@ def log_benefit_scores(
         per_layer = (
             2.0 * np.log(np.where(a > _ALPHA_FLOOR, a, 0.0))
             + np.log(deg + 1.0)
-            + np.log(np.asarray(beta, dtype=np.float64))
-            - np.log(np.asarray(gamma, dtype=np.float64))
         )
     return t_max * per_layer
 

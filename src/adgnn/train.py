@@ -204,7 +204,7 @@ def fit_model(
         init_optimizer(policy, lr=tc.lr * _POLICY_LR_SCALE) if policy else None
     )
     rng = np.random.default_rng(seed)
-    needs_reg = adaptive and cfg.variant in ("learned", "modified")
+    needs_reg = adaptive and cfg.variant == "learned"
     train_edges = train_edge_set(graph, split) if needs_reg else None
 
     best_val = -1.0
@@ -231,7 +231,7 @@ def fit_model(
                 reg = regularization_loss(
                     similarity_head(params), out.h0, train_edges, y
                 )
-                loss = total_loss(task, reg, cfg.variant)
+                loss = total_loss(task, reg)
             else:
                 loss = task
         loss_value = loss.item()

@@ -224,8 +224,9 @@ def test_08_full_depth_reduction():
             kind=kinds[i % 3], layers=t_max,
             hidden_dim=int(rng.integers(3, 6)), dropout=0.0,
         )
+        # instances 0-8 pair each kind with each variant
         cfg = AdGnnConfig(
-            t_max=t_max, backbone=bb, variant=VARIANTS[i % 4], gating="hard"
+            t_max=t_max, backbone=bb, variant=VARIANTS[i // 3 % 3], gating="hard"
         )
         in_dim = int(rng.integers(2, 6))
         classes = int(rng.integers(2, 5))

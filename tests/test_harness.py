@@ -289,7 +289,7 @@ class TestSweepDepth:
         spec = ExperimentSpec(
             kind="sweep_depth",
             parameters={**TINY, "epochs": 2, "depths": [1], "lambda": 0.1,
-                        "gating": "hard", "temperature": 0.2, "head_hidden": 4},
+                        "gating": "soft", "temperature": 0.2, "head_hidden": 4},
             seeds=(0,),
         )
         _, rows = execute(spec)
@@ -486,10 +486,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "bad",
-        ['"model": "modified", "beta": 1e400',
+        ['"model": "learned", "temperature": 1e400',
          '"model": "learned", "temperature": NaN',
          '"lr": NaN'],
-        ids=["beta_inf", "temperature_nan", "lr_nan"],
+        ids=["temperature_inf", "temperature_nan", "lr_nan"],
     )
     def test_non_finite_config_float_exits_2(self, tmp_path, capsys, bad):
         # JSON admits NaN and overflows 1e400 to inf; both are config errors
@@ -497,6 +497,58 @@ class TestCli:
         cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + bad + "}")
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [("train-eval", '"layers": 2.9', "layers"),
+         ("train-eval", '"hidden": true', "hidden"),
+         ("sweep-homophily", '"grid": 0.5', "grid"),
+         ("sweep-degree-threshold", '"thresholds": [1.9]', "thresholds"),
+         ("compare-heuristics", '"heuristics": "jaccard"', "heuristics")],
+        ids=["float_integer", "bool_integer", "scalar_grid", "float_in_int_list",
+             "string_heuristics"],
+    )
+    def test_config_value_of_wrong_type_exits_2(
+        self, tmp_path, capsys, command, extra, key
+    ):
+        # these used to run as the value cast by int() or float(), fail
+        # inside the driver, or report the letters of a name as sources
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
+        assert main([command, "--config", str(cfg), "--seeds", "0"]) == 2
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        ['"model": "modified"', '"model": "learned", "beta": 1'],
+        ids=["modified", "beta"],
+    )
+    def test_deleted_calibration_variant_exits_2(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "model must be one of" in err or "unknown config keys" in err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [('"model": "learned", "heuristic_name": "jaccard"', "heuristic_name"),
+         ('"model": "fast_degree", "head_hidden": 99', "head_hidden"),
+         ('"model": "heuristic", "head_hidden": 3', "head_hidden"),
+         ('"model": "learned", "gating": "hard", "temperature": 0.2',
+          "temperature")],
+        ids=["learned_heuristic_name", "fast_degree_head_hidden",
+             "heuristic_head_hidden", "hard_temperature"],
+    )
+    def test_model_key_the_model_never_reads_exits_2(
+        self, tmp_path, capsys, extra, key
+    ):
+        # each of these configs used to give the table of the same config
+        # without the key
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        assert f"config keys [{key!r}] are not read" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, extra",

@@ -29,6 +29,9 @@ from pathlib import Path
 
 import pytest
 
+from adgnn.drivers import _CSBM_DEFAULTS, _MODEL_DEFAULTS, _TRAIN_DEFAULTS
+from adgnn.model import VARIANTS
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src/adgnn").glob("*.py"))
 SOURCES = sorted(
@@ -323,3 +326,26 @@ def test_demo_and_readme_imports_resolve(source):
     missing = [f"{m}.{n}" for m, n in imports
                if not hasattr(importlib.import_module(m), n)]
     assert missing == []
+
+
+def readme_config_keys(text: str) -> dict[str, list[str]]:
+    """The backticked names in the README's sentences on the shared,
+    training and model config keys, and the names the `model` key lists."""
+    text = " ".join(text.split())
+    keys = {}
+    for group, opening in (("csbm", r"Config keys shared[^:]*:"),
+                           ("train", r"Training keys:"),
+                           ("model", r"Model keys:")):
+        # a sentence ends at a full stop before a space: 10.0 does not end one
+        sentence = re.search(opening + r"(.*?)\.\s", text).group(1)
+        keys[group] = re.findall(r"`(\w+)`", sentence)
+    keys["models"] = re.search(r"`model` \(([^)]*)\)", text).group(1).split("/")
+    return keys
+
+
+def test_readme_config_keys_match_the_drivers():
+    keys = readme_config_keys((ROOT / "README.md").read_text())
+    assert keys["csbm"] == list(_CSBM_DEFAULTS)
+    assert keys["train"] == list(_TRAIN_DEFAULTS)
+    assert keys["model"] == list(_MODEL_DEFAULTS)
+    assert tuple(keys["models"]) == ("plain",) + VARIANTS

@@ -251,13 +251,6 @@ class TestScoresAndNormalization:
         scores = log_benefit_scores(np.array([0.0, 0.5]), np.array([3.0, 3.0]), 2)
         assert np.isneginf(scores[0]) and np.isfinite(scores[1])
 
-    def test_calibration_enters_scores(self):
-        scores = log_benefit_scores(
-            np.array([0.5]), np.array([3.0]), 2, beta=np.array([2.0]), gamma=np.array([4.0])
-        )
-        base = log_benefit_scores(np.array([0.5]), np.array([3.0]), 2)
-        assert scores[0] == pytest.approx(base[0] + 2 * (np.log(2.0) - np.log(4.0)))
-
 
 class TestThreshold:
     def test_lambda_one_pins_to_one(self):
@@ -357,10 +350,8 @@ class TestConfig:
             config(gating="soft", temperature=0.0)
         with pytest.raises(ValueError):
             config(lambda_weight=1.2)
-        with pytest.raises(ValueError):
-            config(beta=0.0)
 
-    @pytest.mark.parametrize("field", ["temperature", "beta", "gamma"])
+    @pytest.mark.parametrize("field", ["temperature"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -505,38 +496,9 @@ class TestForwardSemantics:
         np.testing.assert_array_equal(res.plan.stopping_depth, manual.stopping_depth)
         np.testing.assert_array_equal(res.plan.normalized_scores, eps)
         deg = degrees(g).astype(np.float64)
-        tape = mod._soft_scores(tensor(probs), g, deg, 4, np.ones(15), np.ones(15))
+        tape = mod._soft_scores(tensor(probs), g, deg, 4)
         np.testing.assert_array_equal(tape.values[:, 0], eps)
         np.testing.assert_array_equal(res.arc_probs.values.reshape(-1), probs)
-
-    def test_global_calibration_never_moves_the_plan(self):
-        # a constant beta/gamma shifts every finite score equally and min-max
-        # scaling removes the shift
-        rng = np.random.default_rng(18)
-        g = random_graph(rng, 12, 28)
-        x = tensor(rng.standard_normal((12, 5)))
-        base_cfg = config(t_max=3, variant="modified")
-        params = init_adgnn_params(base_cfg, 5, 2, seed=8)
-        plain = forward(base_cfg, params, g, x)
-        scaled_cfg = config(t_max=3, variant="modified", beta=3.0, gamma=0.25)
-        scaled = forward(scaled_cfg, params, g, x)
-        np.testing.assert_array_equal(
-            plain.plan.stopping_depth, scaled.plan.stopping_depth
-        )
-
-    def test_per_node_calibration_reorders_scores(self):
-        rng = np.random.default_rng(19)
-        g = random_graph(rng, 10, 24)
-        x = tensor(rng.standard_normal((10, 5)))
-        cfg = config(t_max=3, variant="modified")
-        params = init_adgnn_params(cfg, 5, 2, seed=8)
-        gamma = np.ones(10)
-        beta = np.concatenate([np.full(5, 10.0), np.full(5, 0.1)])
-        res = forward(cfg, params, g, x, calibration=(beta, gamma))
-        base = forward(cfg, params, g, x)
-        assert not np.array_equal(
-            res.plan.normalized_scores, base.plan.normalized_scores
-        )
 
     def test_input_validation(self):
         rng = np.random.default_rng(20)
@@ -551,23 +513,6 @@ class TestForwardSemantics:
                 soft_cfg, params, g, tensor(np.zeros((6, 4))),
                 depth_override=np.zeros(6, dtype=int),
             )
-        with pytest.raises(ValueError):
-            forward(
-                cfg, params, g, tensor(np.zeros((6, 4))),
-                calibration=(np.ones(6), np.ones(6)),
-            )
-        mcfg = config(t_max=2, variant="modified")
-        with pytest.raises(ValueError):
-            forward(
-                mcfg, params, g, tensor(np.zeros((6, 4))),
-                calibration=(np.ones(3), np.ones(6)),
-            )
-        for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                forward(
-                    mcfg, params, g, tensor(np.zeros((6, 4))),
-                    calibration=(np.ones(6), np.full(6, bad)),
-                )
 
     def test_heuristic_variant_runs(self):
         rng = np.random.default_rng(21)
@@ -722,7 +667,7 @@ class TestSoftGating:
             reg = regularization_loss(
                 mod.similarity_head(params), res.h0, g.edges(), labels
             )
-            loss = total_loss(task, reg, cfg.variant)
+            loss = total_loss(task, reg)
         reached = {id(loss)}
         for out, inputs, _ in reversed(tape._nodes):
             if id(out) in reached:
@@ -810,7 +755,7 @@ class TestHardRowSlices:
             logits, h0 = build()
             task = softmax_cross_entropy(logits, labels, np.ones(12, bool))
             reg = regularization_loss(mod.similarity_head(params), h0, g.edges(), labels)
-            loss = total_loss(task, reg, cfg.variant)
+            loss = total_loss(task, reg)
         grads = backward(tape, loss)
         return logits.values, loss.item(), {k: grads[p] for k, p in params.items()
                                              if p in grads}
@@ -974,15 +919,6 @@ class TestLosses:
 
             assert check_gradients(build, [h0, t_w1, t_w2]) < REL_TOL
 
-    def test_total_loss_by_variant(self):
-        task, reg = tensor([[1.0]]), tensor([[0.5]])
-        assert total_loss(task, reg, "learned").item() == pytest.approx(1.5)
-        assert total_loss(task, reg, "modified").item() == pytest.approx(1.5)
-        assert total_loss(task, reg, "fast_degree").item() == pytest.approx(1.0)
-        assert total_loss(task, reg, "heuristic").item() == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            total_loss(task, reg, "nope")
-
 
 def _saturated_learned(cfg, n_features, seed=0):
     # positive embeddings and first head layer, hugely negative output
@@ -1005,18 +941,13 @@ class TestOneScorePath:
         soft_cfg = dataclasses.replace(cfg, gating="soft")
         res = forward(soft_cfg, params, g, x)
         deg = degrees(g).astype(np.float64)
-        beta, gamma = mod._per_node_calibration(cfg, g.num_nodes, None)
-        soft = mod._soft_scores(
-            res.arc_probs, g, deg, cfg.t_max, beta, gamma
-        ).values.reshape(-1)
+        soft = mod._soft_scores(res.arc_probs, g, deg, cfg.t_max).values.reshape(-1)
         np.testing.assert_array_equal(soft, res.plan.normalized_scores)
         hard = forward(dataclasses.replace(cfg, gating="hard"), params, g, x)
         np.testing.assert_array_equal(soft, hard.plan.normalized_scores)
         d_plus, d_minus = expected_label_counts(g, res.arc_probs.values)
         alpha = estimated_alpha(d_plus, d_minus, deg)
-        ref = minmax_normalize(
-            log_benefit_scores(alpha, deg, cfg.t_max, beta, gamma)
-        )
+        ref = minmax_normalize(log_benefit_scores(alpha, deg, cfg.t_max))
         np.testing.assert_array_equal(soft, ref)
         sentinel = np.abs(alpha) <= _ALPHA_FLOOR
         assert np.all(soft[sentinel] == 0.0)
@@ -1024,7 +955,7 @@ class TestOneScorePath:
 
     @pytest.mark.parametrize(
         "variant, heuristic",
-        [("learned", None), ("modified", None), ("fast_degree", None)]
+        [("learned", None), ("fast_degree", None)]
         + [("heuristic", name) for name in mod.HEURISTIC_NAMES],
     )
     def test_every_variant_with_degree_one_nodes(self, variant, heuristic):
@@ -1115,7 +1046,6 @@ class TestOneScorePath:
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)], 6)
         deg = degrees(g).astype(np.float64)
         pinned = (g.arc_sources() != 0).astype(np.float64).reshape(-1, 1)
-        ones = np.ones(6)
         checked = 0
         while checked < 10:
             leaf = tensor(rng.uniform(0.05, 0.95, pinned.shape), requires_grad=True)
@@ -1128,7 +1058,7 @@ class TestOneScorePath:
 
             def build():
                 probs = where_rows(pinned[:, 0] > 0, leaf, tensor(0.0 * pinned))
-                eps = mod._soft_scores(probs, g, deg, 2, ones, ones)
+                eps = mod._soft_scores(probs, g, deg, 2)
                 return weighted_mean(eps, w)
 
             assert check_gradients(build, [leaf]) < REL_TOL

@@ -274,6 +274,30 @@ class TestAdaptiveTraining:
         result = train_model(cfg, data, split, tc, seed=0)
         assert sum(result.depth_histogram) == 80
 
+    def test_only_learned_trains_the_pair_loss(self, monkeypatch):
+        import adgnn.train as train_module
+
+        # the learned head adds its pair loss every epoch; the structural
+        # variants have no head and train on the task loss alone
+        calls = []
+        real = train_module.regularization_loss
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(train_module, "regularization_loss", spy)
+        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
+        split = make_split(80, seed=5)
+        tc = TrainConfig(epochs=2, lr=0.01)
+        for variant, epochs_with_pair_loss in (
+            ("learned", 2), ("fast_degree", 0), ("heuristic", 0),
+        ):
+            calls.clear()
+            cfg = AdGnnConfig(t_max=2, backbone=backbone(2), variant=variant)
+            fit_model(cfg, data, split, tc, seed=0)
+            assert len(calls) == epochs_with_pair_loss, variant
+
     def test_threshold_params_move_only_in_soft_mode(self, monkeypatch):
         import adgnn.train as train_module
 
