@@ -59,5 +59,4 @@ print(f"  signal-rate correction beta  = {cal.beta:.4f}")
 print(f"  noise-rate correction  gamma = {cal.gamma:.4f}")
 print()
 print("on a real graph the same estimator quantifies how far actual "
-      "propagation\nsits from the independence idealization; those factors "
-      "then recalibrate\nthe depth-benefit scores used by the adaptive model.")
+      "propagation\nsits from the independence idealization.")

@@ -279,7 +279,7 @@ def _data_source(cfg: dict):
     """The dataset at cfg["data"] for every seed when given, else a fresh
     CSBM draw per seed."""
     if "data" in cfg:
-        data = load_dataset(cfg["data"])
+        data = load_dataset(_read(cfg, "data", str))
         return lambda s: data
     return _sampled(_csbm_params(cfg))
 

@@ -504,9 +504,10 @@ class TestCli:
          ("train-eval", '"hidden": true', "hidden"),
          ("sweep-homophily", '"grid": 0.5', "grid"),
          ("sweep-degree-threshold", '"thresholds": [1.9]', "thresholds"),
-         ("compare-heuristics", '"heuristics": "jaccard"', "heuristics")],
+         ("compare-heuristics", '"heuristics": "jaccard"', "heuristics"),
+         ("train-eval", '"data": 5', "data")],
         ids=["float_integer", "bool_integer", "scalar_grid", "float_in_int_list",
-             "string_heuristics"],
+             "string_heuristics", "number_data"],
     )
     def test_config_value_of_wrong_type_exits_2(
         self, tmp_path, capsys, command, extra, key
