@@ -9,7 +9,7 @@ on one fixed graph, then reruns the degree shortcut as an explicit
 cutoff rule on a heterophilic graph where shallow nodes are better off
 not aggregating at all.
 
-Run:  python demos/scoring_variants.py   (about a minute)
+Run:  python demos/scoring_variants.py   (about 30 seconds)
 """
 
 from adgnn.drivers import ExperimentSpec, execute

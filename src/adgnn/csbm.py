@@ -52,8 +52,10 @@ class CsbmParams:
             raise ValueError("class sizes must be non-negative and not both zero")
         if mu0.ndim != 1 or mu0.shape != mu1.shape:
             raise ValueError("prototypes must be 1-d vectors of equal dimension")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not np.all(np.isfinite(mu0)) or not np.all(np.isfinite(mu1)):
+            raise ValueError(f"prototype entries must be finite, got {mu0} and {mu1}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         for p in (self.p_in, self.p_out):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("edge probabilities must lie in [0, 1]")
@@ -68,8 +70,10 @@ class ClassStats:
     sigma_sq: float
 
     def __post_init__(self) -> None:
-        if self.delta_sq < 0 or self.sigma_sq < 0:
-            raise ValueError("delta_sq and sigma_sq must be non-negative")
+        for name in ("delta_sq", "sigma_sq"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -162,8 +166,8 @@ def measured_edge_homophily(graph: Graph, labels: LabelVector) -> float:
 def canonical_prototypes(delta_sq: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Two prototypes at squared distance delta_sq, symmetric about the
     origin along the first coordinate."""
-    if delta_sq < 0:
-        raise ValueError("delta_sq must be non-negative")
+    if not (np.isfinite(delta_sq) and delta_sq >= 0):
+        raise ValueError(f"delta_sq must be finite and non-negative, got {delta_sq}")
     if dim < 1:
         raise ValueError("dim must be positive")
     mu0 = np.zeros(dim)

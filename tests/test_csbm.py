@@ -40,6 +40,20 @@ class TestParams:
         with pytest.raises(ValueError):
             ClassStats(delta_sq=-1.0, sigma_sq=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes a `< 0` check; it used to make every feature NaN
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            small_params(sigma=bad)
+        with pytest.raises(ValueError, match="prototype entries must be finite"):
+            small_params(mu0=np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="delta_sq must be finite"):
+            ClassStats(delta_sq=bad, sigma_sq=1.0)
+        with pytest.raises(ValueError, match="sigma_sq must be finite"):
+            ClassStats(delta_sq=1.0, sigma_sq=bad)
+        with pytest.raises(ValueError, match="delta_sq must be finite"):
+            canonical_prototypes(bad, 2)
+
 
 class TestSampleGraph:
     def test_deterministic(self):

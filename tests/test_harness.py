@@ -499,6 +499,29 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, config, message",
+        [("train-eval", {"n0": 20, "n1": 20, "epochs": 3, "sigma": "NaN"},
+          "sigma must be finite and non-negative, got nan"),
+         ("train-eval", {"n0": 20, "n1": 20, "epochs": 3, "delta_sq": "1e400"},
+          "delta_sq must be finite and non-negative, got inf"),
+         ("theory-validate", {"profiles": 2, "trials": 1000, "delta_sq": "NaN"},
+          "delta_sq must be finite and non-negative, got nan"),
+         ("theory-validate", {"profiles": 2, "trials": 1000, "sigma_sq": "1e400"},
+          "sigma_sq must be finite and non-negative, got inf")],
+        ids=["train_sigma_nan", "train_delta_sq_inf", "theory_delta_sq_nan",
+             "theory_sigma_sq_inf"],
+    )
+    def test_non_finite_data_parameter_exits_2(
+        self, tmp_path, capsys, command, config, message
+    ):
+        # these used to run to exit 0: NaN features gave accuracy 0.5 and
+        # the oracle wrote rows of NaN
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in config.items()) + "}")
+        assert main([command, "--config", str(cfg), "--seeds", "0"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, extra, key",
         [("train-eval", '"layers": 2.9', "layers"),
          ("train-eval", '"hidden": true', "hidden"),

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from adgnn.csbm import CsbmParams, canonical_prototypes, homophily_from_target, sample_graph
 from adgnn.graph import build_graph
 from adgnn.heuristics import (
     HEURISTIC_NAMES,
@@ -96,7 +97,50 @@ class TestAgainstNetworkx:
 
     def test_path_betweenness_example(self):
         g = build_graph([(0, 1), (1, 2)], 3)
-        np.testing.assert_allclose(betweenness_centrality(g), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(betweenness_centrality(g), [0.0, 1.0, 0.0])
+
+
+def assert_betweenness_matches_networkx(g):
+    ref = nx.betweenness_centrality(to_networkx(g), normalized=False)
+    np.testing.assert_allclose(
+        betweenness_centrality(g), [ref[v] for v in range(g.num_nodes)], rtol=1e-12
+    )
+
+
+class TestBlockBetweenness:
+    """Sources run in blocks; these cases cross block edges, leave the last
+    block partly filled and put unreachable nodes in every block."""
+
+    @pytest.mark.parametrize("n", [65, 130, 201])
+    def test_more_nodes_than_one_block(self, n):
+        rng = np.random.default_rng(n)
+        # a spanning path keeps it connected; chords make ties in path counts
+        edges = [(v, v + 1) for v in range(n - 1)]
+        edges += map(tuple, rng.integers(0, n, size=(n, 2)))
+        assert_betweenness_matches_networkx(build_graph(edges, n))
+
+    def test_disconnected_with_isolated_nodes(self):
+        rng = np.random.default_rng(7)
+        n = 150
+        # three random components over nodes 0..119; nodes 120..149 isolated
+        edges = []
+        for lo, hi in [(0, 40), (40, 90), (90, 120)]:
+            edges += map(tuple, rng.integers(lo, hi, size=(2 * (hi - lo), 2)))
+        g = build_graph(edges, n)
+        assert np.all(np.diff(g.csr_offsets)[120:] == 0)
+        assert_betweenness_matches_networkx(g)
+
+    def test_csbm_500(self):
+        p_in, p_out = homophily_from_target(0.9, 10.0, 250, 250)
+        mu0, mu1 = canonical_prototypes(1.0, 8)
+        params = CsbmParams(n0=250, n1=250, mu0=mu0, mu1=mu1, sigma=1.0,
+                            p_in=p_in, p_out=p_out)
+        g, _, _ = sample_graph(params, seed=0)
+        assert_betweenness_matches_networkx(g)
+
+    def test_edgeless_is_all_zero(self):
+        np.testing.assert_array_equal(betweenness_centrality(build_graph([], 70)),
+                                      np.zeros(70))
 
 
 class TestHeuristicSimilarity:
