@@ -101,6 +101,8 @@ def _parse_features(path: Path) -> np.ndarray:
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric feature value"
                 ) from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite feature value")
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -24,7 +24,6 @@ __all__ = [
     "adjacency",
     "profile_counts",
     "make_split",
-    "train_edge_set",
 ]
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -234,11 +233,3 @@ def make_split(
     roles[order[counts[0] : counts[0] + counts[1]]] = VAL
     roles[order[counts[0] + counts[1] :]] = TEST
     return SplitMask(roles=roles, seed=seed)
-
-
-def train_edge_set(graph: Graph, split: SplitMask) -> np.ndarray:
-    """Undirected edges (u < v) whose endpoints are both training nodes."""
-    edges = graph.edges()
-    train = split.train
-    keep = train[edges[:, 0]] & train[edges[:, 1]]
-    return edges[keep]

@@ -12,7 +12,8 @@ exactly, and a hard-gated layer with at most half its rows active
 computes only those rows; soft gating blends through a temperature
 sigmoid so the scoring parameters receive gradients.  The learned head
 is symmetric, so it scores each undirected edge once and both arcs of
-the edge read that score.
+the edge read that score.  It runs once per forward, and its pair loss
+trains it on exactly the arc scores the plan cuts.
 
 With every stopping depth at t_max the gated trunk is bit-identical to
 ``backbones.plain_forward`` on the same parameters; ``trunk_params``
@@ -188,7 +189,6 @@ class ForwardResult:
     logits: Tensor
     plan: DepthPlan
     arc_probs: Tensor
-    h0: Tensor
 
 
 def init_adgnn_params(
@@ -341,20 +341,16 @@ def structural_scores(graph: Graph, key: str) -> np.ndarray:
 
 
 def _arc_probabilities(
-    cfg: AdGnnConfig, params: dict[str, Tensor], graph: Graph, h0: Tensor,
-    on_tape: bool,
+    cfg: AdGnnConfig, params: dict[str, Tensor], graph: Graph, h0: Tensor
 ) -> Tensor:
     if cfg.variant == "learned":
-        head = similarity_head(params)
-        if not on_tape:
-            head = SimilarityHead(tensor(head.w1.values), tensor(head.w2.values))
-            h0 = tensor(h0.values)
         edges = graph.edges()
         h_u = row_gather(h0, edges[:, 0])
         h_v = row_gather(h0, edges[:, 1])
         # the pair features are exactly symmetric, so an arc's score is the
         # score of its edge bit for bit
-        return row_gather(pair_probability(head, h_u, h_v), graph.arc_edges)
+        probs = pair_probability(similarity_head(params), h_u, h_v)
+        return row_gather(probs, graph.arc_edges)
     key = "degree" if cfg.variant == "fast_degree" else cfg.heuristic_name
     return tensor(structural_scores(graph, key).reshape(-1, 1))
 
@@ -480,6 +476,11 @@ def forward(
     so an active node always aggregates its entire neighborhood at full
     normalization; filtering decides who receives fresh messages, not what
     they read.  depth_override forces the plan (hard gating only).
+
+    The head runs once, with its real weights, and its arc scores are
+    returned for the pair loss.  Soft gating differentiates the depth
+    scores through them; hard gating reads them as constants, so the
+    score node stays off the tape.
     """
     if x.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match node count")
@@ -491,12 +492,11 @@ def forward(
         bb, {"weight": params["dense0.weight"]}, x, True, dropout_rng
     )
     soft = cfg.gating == "soft"
-    # hard gating never differentiates the scores, so the head reads h0
-    # and its weights as constants and records nothing on the tape
-    arc_probs = _arc_probabilities(cfg, params, graph, h0, on_tape=soft)
+    arc_probs = _arc_probabilities(cfg, params, graph, h0)
 
     deg = degrees(graph).astype(np.float64)
-    eps = _soft_scores(arc_probs, graph, deg, cfg.t_max)
+    scored = arc_probs if soft else tensor(arc_probs.values)
+    eps = _soft_scores(scored, graph, deg, cfg.t_max)
     tf = threshold_function(cfg, params)
     if soft:
         tau = _thresholds(tf, cfg.t_max)
@@ -534,27 +534,21 @@ def forward(
         False,
         dropout_rng,
     )
-    return ForwardResult(logits, plan, arc_probs, h0)
+    return ForwardResult(logits, plan, arc_probs)
 
 
 def regularization_loss(
-    head: SimilarityHead,
-    h0: Tensor,
-    train_edges: np.ndarray,
-    labels: np.ndarray,
+    arc_probs: Tensor, arcs: np.ndarray, same_label: np.ndarray
 ) -> Tensor:
-    """Mean binary cross-entropy of predicted same-label probabilities
-    against the label-agreement indicator, over train-train edges.  Empty
-    edge sets contribute a constant zero."""
-    edges = np.asarray(train_edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0] == 0:
+    """Mean binary cross-entropy of the forward's arc scores at `arcs`
+    against the label-agreement indicator `same_label`, one entry per arc.
+
+    The training loop passes one arc per train-train edge, so the head
+    learns from exactly the scores the plan cuts.  An empty arc set
+    contributes a constant zero."""
+    if len(arcs) == 0:
         return tensor([[0.0]])
-    y = np.asarray(labels)
-    h_u = row_gather(h0, edges[:, 0])
-    h_v = row_gather(h0, edges[:, 1])
-    probs = pair_probability(head, h_u, h_v)
-    target = (y[edges[:, 0]] == y[edges[:, 1]]).astype(np.float64).reshape(-1, 1)
-    return binary_cross_entropy(probs, target)
+    return binary_cross_entropy(row_gather(arc_probs, arcs), same_label)
 
 
 def total_loss(task_loss: Tensor, reg_loss: Tensor) -> Tensor:

@@ -24,14 +24,13 @@ from .autodiff import (
     tensor,
 )
 from .backbones import BackboneConfig, init_params, plain_forward
-from .graph import Graph, LabelVector, SplitMask, train_edge_set
+from .graph import Graph, LabelVector, SplitMask
 from .model import (
     AdGnnConfig,
     ForwardResult,
     forward,
     init_adgnn_params,
     regularization_loss,
-    similarity_head,
     total_loss,
 )
 
@@ -205,7 +204,12 @@ def fit_model(
     )
     rng = np.random.default_rng(seed)
     needs_reg = adaptive and cfg.variant == "learned"
-    train_edges = train_edge_set(graph, split) if needs_reg else None
+    if needs_reg:
+        # the pair loss reads one arc per train-train edge: u -> v with
+        # u < v, in graph.edges() order
+        src, dst = graph.arc_sources(), graph.csr_neighbors
+        pair_arcs = np.flatnonzero((src < dst) & split.train[src] & split.train[dst])
+        same_label = y[src[pair_arcs]] == y[dst[pair_arcs]]
 
     best_val = -1.0
     best_epoch = -1
@@ -228,9 +232,7 @@ def fit_model(
             logits = out.logits if isinstance(out, ForwardResult) else out
             task = softmax_cross_entropy(logits, y, split.train)
             if needs_reg:
-                reg = regularization_loss(
-                    similarity_head(params), out.h0, train_edges, y
-                )
+                reg = regularization_loss(out.arc_probs, pair_arcs, same_label)
                 loss = total_loss(task, reg)
             else:
                 loss = task

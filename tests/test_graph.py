@@ -8,7 +8,6 @@ from adgnn.graph import (
     degrees,
     make_split,
     profile_counts,
-    train_edge_set,
 )
 
 
@@ -158,26 +157,3 @@ class TestSplit:
             make_split(10, (0.5, 0.2, 0.2))
         with pytest.raises(ValueError):
             make_split(10, (-0.1, 0.6, 0.5))
-
-
-class TestTrainEdges:
-    def test_restriction(self):
-        g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], num_nodes=4)
-        roles = np.array([0, 0, 1, 0], dtype=np.int8)
-        from adgnn.graph import SplitMask
-
-        s = SplitMask(roles=roles, seed=0)
-        kept = train_edge_set(g, s)
-        assert sorted(map(tuple, kept)) == [(0, 1), (0, 3)]
-
-    def test_subset_property_random(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            n = int(rng.integers(2, 40))
-            g = build_graph(random_edge_list(rng, n, int(rng.integers(0, 80))), n)
-            s = make_split(n, seed=int(rng.integers(1 << 30)))
-            kept = train_edge_set(g, s)
-            all_edges = set(map(tuple, g.edges()))
-            for u, v in kept:
-                assert (u, v) in all_edges
-                assert s.train[u] and s.train[v]

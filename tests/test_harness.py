@@ -106,6 +106,21 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=r"features\.csv:5"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_value(self, tmp_path, capsys, value):
+        # the loader names the line, and a config reading the dataset exits 2
+        graph, features, labels = small_csbm()
+        d = save_dataset(tmp_path / "ds", graph, features, labels)
+        lines = (d / "features.csv").read_text().splitlines()
+        lines[4] = ",".join([value] + lines[4].split(",")[1:])
+        (d / "features.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"features\.csv:5: non-finite"):
+            load_dataset(d)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"data": str(d), "epochs": 3, "hidden": 8}))
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        assert "features.csv:5: non-finite" in capsys.readouterr().err
+
     def test_bad_label_line(self, tmp_path):
         graph, features, labels = small_csbm()
         d = save_dataset(tmp_path / "ds", graph, features, labels)

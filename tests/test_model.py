@@ -7,7 +7,15 @@ import pytest
 from scipy.special import expit
 
 from adgnn import model as mod
-from adgnn.autodiff import Tape, backward, softmax_cross_entropy, tensor, where_rows
+from adgnn.autodiff import (
+    Tape,
+    backward,
+    binary_cross_entropy,
+    row_gather,
+    softmax_cross_entropy,
+    tensor,
+    where_rows,
+)
 from adgnn.backbones import BackboneConfig, dense_forward, layer_forward, plain_forward
 from adgnn.graph import (
     Graph,
@@ -15,6 +23,7 @@ from adgnn.graph import (
     NodeProfile,
     build_graph,
     degrees,
+    make_split,
     profile_counts,
 )
 from adgnn.model import (
@@ -37,6 +46,7 @@ from adgnn.model import (
     trunk_params,
 )
 from adgnn.theory import _ALPHA_FLOOR, signal_preservation_factor
+from adgnn.train import TrainConfig, fit_model
 from gradcheck import REL_TOL, check_gradients, weighted_mean
 
 
@@ -55,6 +65,26 @@ def backbone(t_max, hidden=4, kind="gcn_rownorm"):
 def config(t_max=3, hidden=4, **kw):
     kw.setdefault("backbone", backbone(t_max, hidden, kw.pop("kind", "gcn_rownorm")))
     return AdGnnConfig(t_max=t_max, **kw)
+
+
+def embed(cfg, params, x):
+    """The forward's h0 without dropout: the rows the head scores."""
+    return dense_forward(cfg.backbone, {"weight": params["dense0.weight"]}, x, True, None)
+
+
+def pair_loss_on_arcs(res, graph, labels):
+    """The pair loss on the forward arc (u < v) of every edge, as if every
+    edge joined two training nodes."""
+    src, dst = graph.arc_sources(), graph.csr_neighbors
+    arcs = np.flatnonzero(src < dst)
+    return regularization_loss(res.arc_probs, arcs, labels[src[arcs]] == labels[dst[arcs]])
+
+
+def direct_pair_loss(params, h0, edges, labels):
+    """The pair loss as a head call of its own on the edge rows."""
+    probs = pair_probability(mod.similarity_head(params),
+                             row_gather(h0, edges[:, 0]), row_gather(h0, edges[:, 1]))
+    return binary_cross_entropy(probs, labels[edges[:, 0]] == labels[edges[:, 1]])
 
 
 def indicator_arc_probs(graph, labels):
@@ -468,7 +498,7 @@ class TestForwardSemantics:
         params = init_adgnn_params(cfg, 4, 2, seed=2)
         x = tensor(rng.standard_normal((8, 4)))
         res = forward(cfg, params, g, x, depth_override=np.zeros(8, dtype=int))
-        expected = res.h0.values @ params["dense4.weight"].values
+        expected = embed(cfg, params, x).values @ params["dense4.weight"].values
         np.testing.assert_allclose(res.logits.values, expected, rtol=0, atol=0)
 
     def test_lambda_one_keeps_only_top_scores(self):
@@ -636,10 +666,10 @@ class TestSoftGating:
     @pytest.mark.parametrize("t_max", [1, 4])
     def test_each_gated_layer_records_one_node(self, t_max):
         # a soft layer costs one gate node, as a hard layer does with its
-        # where_rows or scatter_rows; the soft pass adds the score node,
-        # the threshold node and the head's four (two row gathers, the
-        # pair probability and its gather onto the arcs), which hard
-        # gating computes off the tape
+        # where_rows or scatter_rows; both record the head's four nodes
+        # (two row gathers, the pair probability and its gather onto the
+        # arcs) for the pair loss, and soft adds the score node and the
+        # threshold node, which hard gating computes off the tape
         rng = np.random.default_rng(26)
         g = random_graph(rng, 20, 50)
         cfg = config(t_max=t_max, hidden=4, lambda_weight=0.1)
@@ -650,11 +680,12 @@ class TestSoftGating:
             with Tape() as tape:
                 forward(dataclasses.replace(cfg, gating=gating), params, g, x)
             lengths[gating] = len(tape)
-        assert lengths["soft"] == lengths["hard"] + 6
+        assert lengths["soft"] == lengths["hard"] + 2
 
     def test_hard_tape_nodes_all_reach_the_loss(self):
-        # hard gating cuts the plan on constant scores, so no node of the
-        # scoring path may be recorded: each one must feed the loss
+        # hard gating cuts the plan on constant scores, so the score path
+        # records nothing; the head's nodes feed the pair loss, and every
+        # recorded node must reach the total loss
         rng = np.random.default_rng(27)
         g = random_graph(rng, 20, 50)
         cfg = config(t_max=3, hidden=4)
@@ -664,10 +695,7 @@ class TestSoftGating:
         with Tape() as tape:
             res = forward(cfg, params, g, x)
             task = softmax_cross_entropy(res.logits, labels, np.ones(20, bool))
-            reg = regularization_loss(
-                mod.similarity_head(params), res.h0, g.edges(), labels
-            )
-            loss = total_loss(task, reg)
+            loss = total_loss(task, pair_loss_on_arcs(res, g, labels))
         reached = {id(loss)}
         for out, inputs, _ in reversed(tape._nodes):
             if id(out) in reached:
@@ -749,12 +777,11 @@ class TestHardRowSlices:
         return cfg, params, g, x, labels, rng.permutation(self.DEPTHS)
 
     @staticmethod
-    def step(cfg, params, g, x, labels, build):
+    def step(params, labels, build):
         # one hard training step: loss and leaf gradients as fit_model forms them
         with Tape() as tape:
-            logits, h0 = build()
+            logits, reg = build()
             task = softmax_cross_entropy(logits, labels, np.ones(12, bool))
-            reg = regularization_loss(mod.similarity_head(params), h0, g.edges(), labels)
             loss = total_loss(task, reg)
         grads = backward(tape, loss)
         return logits.values, loss.item(), {k: grads[p] for k, p in params.items()
@@ -779,14 +806,17 @@ class TestHardRowSlices:
             def gated():
                 res = forward(cfg, params, g, x, dropout_rng=rng, depth_override=depth)
                 np.testing.assert_array_equal(res.plan.stopping_depth, depth)
-                return res.logits, res.h0
+                return res.logits, pair_loss_on_arcs(res, g, labels)
 
-            logits, loss, grads = self.step(cfg, params, g, x, labels, gated)
+            def reference():
+                # every row computed, and the pair loss a head call of its own
+                logits, h0 = reference_hard_forward(cfg, params, g, x, depth, ref_rng)
+                return logits, direct_pair_loss(params, h0, g.edges(), labels)
+
+            logits, loss, grads = self.step(params, labels, gated)
             assert computed == self.COMPUTED
             monkeypatch.undo()
-            ref = self.step(cfg, params, g, x, labels,
-                            lambda: reference_hard_forward(cfg, params, g, x, depth,
-                                                           ref_rng))
+            ref = self.step(params, labels, reference)
             assert_matches_reference(logits, ref[0])
             assert_matches_reference(loss, ref[1])
             assert grads.keys() == ref[2].keys()
@@ -824,7 +854,7 @@ class TestEdgeScoring:
         for seed in range(5):
             cfg, params, g, x = self.setup_case(seed)
             res = forward(dataclasses.replace(cfg, gating=gating), params, g, x)
-            h0 = res.h0.values
+            h0 = embed(cfg, params, x).values
             per_arc = pair_probability(
                 mod.similarity_head(params),
                 tensor(h0[g.arc_sources()]), tensor(h0[g.csr_neighbors]),
@@ -866,11 +896,8 @@ class TestEdgeScoring:
 
 class TestLosses:
     def test_reg_loss_at_half_is_ln2(self):
-        rng = np.random.default_rng(25)
-        head = SimilarityHead(tensor(np.zeros((8, 3))), tensor(np.zeros((3, 1))))
-        h0 = tensor(rng.standard_normal((6, 4)))
-        edges = np.array([[0, 1], [2, 3], [4, 5]])
-        loss = regularization_loss(head, h0, edges, np.array([0, 1, 0, 0, 1, 1]))
+        probs = tensor(np.full((6, 1), 0.5))
+        loss = regularization_loss(probs, np.array([0, 2, 4]), np.array([True, False, True]))
         assert loss.item() == pytest.approx(np.log(2.0))
 
     def test_reg_loss_perfect_predictions(self):
@@ -881,26 +908,26 @@ class TestLosses:
         w1[0, 1] = 1.0   # |h_u - h_v| -> unit 1
         w1[1, 0] = 1.0   # h_u * h_v   -> unit 0
         head = SimilarityHead(tensor(w1), tensor(np.array([[1.0], [-1.0]])))
-        h0 = tensor(np.array([[10.0], [10.0], [-10.0], [10.0]]))
-        edges = np.array([[0, 1], [2, 3]])
-        labels = np.array([0, 0, 1, 0])
-        loss = regularization_loss(head, h0, edges, labels)
+        probs = pair_probability(head, tensor([[10.0], [-10.0]]), tensor([[10.0], [10.0]]))
+        loss = regularization_loss(probs, np.array([0, 1]), np.array([True, False]))
         assert loss.item() < 1e-6
 
     def test_reg_loss_empty_edges(self):
-        head = SimilarityHead(tensor(np.zeros((2, 2))), tensor(np.zeros((2, 1))))
         loss = regularization_loss(
-            head, tensor(np.ones((3, 1))), np.zeros((0, 2), dtype=int), np.zeros(3, int)
+            tensor(np.full((3, 1), 0.5)), np.zeros(0, dtype=int), np.zeros(0, bool)
         )
         assert loss.item() == 0.0
 
     def test_reg_loss_gradcheck(self):
+        # through the head and the gather onto the loss's arcs, one of
+        # them read twice
         rng = np.random.default_rng(26)
+        edges = np.array([[0, 1], [2, 3], [4, 5], [1, 2]])
+        arcs = np.array([3, 0, 2, 3])
         for _ in range(20):
             while True:
                 h0v = rng.standard_normal((6, 3))
                 w1 = rng.standard_normal((6, 4)) * 0.7
-                edges = np.array([[0, 1], [2, 3], [4, 5], [1, 2]])
                 du = h0v[edges[:, 0]] - h0v[edges[:, 1]]
                 feats = np.hstack(
                     [np.abs(du), h0v[edges[:, 0]] * h0v[edges[:, 1]]]
@@ -910,14 +937,56 @@ class TestLosses:
             h0 = tensor(h0v, requires_grad=True)
             t_w1 = tensor(w1, requires_grad=True)
             t_w2 = tensor(rng.standard_normal((4, 1)), requires_grad=True)
-            labels = rng.integers(0, 2, size=6)
+            same = rng.integers(0, 2, size=4).astype(bool)
 
             def build():
-                return regularization_loss(
-                    SimilarityHead(t_w1, t_w2), h0, edges, labels
+                probs = pair_probability(
+                    SimilarityHead(t_w1, t_w2),
+                    row_gather(h0, edges[:, 0]), row_gather(h0, edges[:, 1]),
                 )
+                return regularization_loss(probs, arcs, same)
 
             assert check_gradients(build, [h0, t_w1, t_w2]) < REL_TOL
+
+    @pytest.mark.parametrize("gating", ["hard", "soft"])
+    def test_pair_loss_reads_train_edge_arcs(self, gating, monkeypatch):
+        # fit_model's pair loss reads the forward's arc scores at one arc
+        # per train-train edge; it equals, bit for bit, the loss of a head
+        # call of its own on those edge rows
+        import adgnn.train as train_module
+
+        real = train_module.regularization_loss
+        calls = []
+
+        def spy(arc_probs, arcs, same_label):
+            loss = real(arc_probs, arcs, same_label)
+            calls.append((arcs, loss.item()))
+            return loss
+
+        monkeypatch.setattr(train_module, "regularization_loss", spy)
+        # no warm-up, so the soft case trains its first epoch soft
+        monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 0)
+        rng = np.random.default_rng(28)
+        cfg = config(t_max=2, hidden=5, head_hidden=6, gating=gating)
+        for seed in range(5):
+            g = random_graph(rng, 40, 120)
+            x = rng.standard_normal((40, 4))
+            labels = LabelVector(rng.integers(0, 2, size=40), 2)
+            split = make_split(40, seed=seed)
+            calls.clear()
+            fit_model(cfg, (g, x, labels), split, TrainConfig(epochs=1), seed=seed)
+            [(arcs, loss)] = calls
+            edges = g.edges()
+            train = split.train[edges[:, 0]] & split.train[edges[:, 1]]
+            assert train.any() and not train.all()
+            np.testing.assert_array_equal(
+                np.stack([g.arc_sources()[arcs], g.csr_neighbors[arcs]], axis=1),
+                edges[train],
+            )
+            params = init_adgnn_params(cfg, 4, 2, seed)
+            h0 = embed(cfg, params, tensor(x))
+            direct = direct_pair_loss(params, h0, edges[train], labels.labels)
+            assert loss == direct.item()
 
 
 def _saturated_learned(cfg, n_features, seed=0):

@@ -298,6 +298,30 @@ class TestAdaptiveTraining:
             fit_model(cfg, data, split, tc, seed=0)
             assert len(calls) == epochs_with_pair_loss, variant
 
+    @pytest.mark.parametrize("gating", ["hard", "soft"])
+    def test_two_head_calls_per_learned_epoch(self, gating, monkeypatch):
+        import adgnn.model as model_module
+        import adgnn.train as train_module
+
+        # the training forward scores every edge once and the pair loss
+        # reads those scores; the validation forward scores them once
+        # more.  A two-epoch warm-up gives the soft run hard and soft epochs
+        monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
+        rows = []
+        real = model_module.pair_probability
+
+        def spy(head, h_u, h_v):
+            rows.append(h_u.shape[0])
+            return real(head, h_u, h_v)
+
+        monkeypatch.setattr(model_module, "pair_probability", spy)
+        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
+        split = make_split(80, seed=5)
+        cfg = AdGnnConfig(t_max=2, backbone=backbone(2), gating=gating)
+        fit_model(cfg, data, split, TrainConfig(epochs=4, lr=0.01), seed=0)
+        # two per epoch, and one for the selected snapshot's test forward
+        assert rows == [data[0].num_edges] * (2 * 4 + 1)
+
     def test_threshold_params_move_only_in_soft_mode(self, monkeypatch):
         import adgnn.train as train_module
 
