@@ -4,8 +4,10 @@ Two-class graphs with Bernoulli edges (intra-class probability p_in,
 inter-class p_out) and Gaussian node features centered on a per-class
 prototype.  Also provides the local neighborhood sampler used by the
 Monte Carlo oracles in :mod:`adgnn.theory`: rather than a whole graph, it
-draws batches of one node's feature vector together with the features of
-a neighborhood whose label composition is fixed in advance.
+draws batches of one node's feature vector together with the summed
+features of a neighborhood whose label composition is fixed in advance.
+The neighbor draws stream through one small reused buffer, so no
+(trials, degree, dim) array is ever built.
 
 Randomness is split into two named counter-based streams (structure,
 features) spawned from the user seed, so regenerating features never
@@ -29,6 +31,14 @@ __all__ = [
     "sample_neighborhood_batch",
     "canonical_prototypes",
 ]
+
+# doubles per neighbor-draw buffer: small enough to stay in cache while
+# it is filled, scaled and summed, large enough that each refill
+# amortizes its per-call overhead.  Three single-layer oracle calls
+# (degrees 3, 15 and 20, 100,000 trials) took 1.86, 1.87 and 1.85 s at
+# 8 K, 32 K and 128 K doubles, against 2.28 s with every neighbor
+# materialized (one core of a 2-core x86 host)
+_DRAW_BUFFER = 32_768
 
 
 @dataclass(frozen=True)
@@ -185,10 +195,17 @@ def sample_neighborhood_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized neighborhood draws for Monte Carlo estimation.
 
-    Returns (center, neighbors) with shapes (trials, dim) and
-    (trials, degree, dim).  Neighbor rows are ordered same-class block
-    first, then different-class; the draw order is center, same block,
-    different block, so results are reproducible from the generator state.
+    Returns (center, neighbor_sum), both (trials, dim): each trial's own
+    feature vector and the sum of its degree neighbors' feature vectors.
+    The draw order is center, then the same-label block, then the
+    other-label block, each block trial by trial and row by row, so the
+    result is reproducible from the generator state.  Each block is drawn
+    whole trials at a time into one reused buffer of about _DRAW_BUFFER
+    doubles, scaled and shifted in place, and added into the sum one row
+    at a time in that same order.  For dim > 1 these are the additions
+    numpy makes when it sums materialized (trials, degree, dim) neighbors
+    over their rows; at dim = 1 numpy sums 8 or more rows pairwise, so
+    the last bits may differ.  A degree-0 profile gets an all-zero sum.
     """
     if own_label not in (0, 1):
         raise ValueError("own_label must be 0 or 1")
@@ -199,11 +216,25 @@ def sample_neighborhood_batch(
     other = mu1 if own_label == 0 else mu0
     sigma = np.sqrt(stats.sigma_sq)
     center = own + sigma * rng.standard_normal((trials, dim))
-    neighbors = np.empty((trials, profile.degree, dim))
-    neighbors[:, : profile.d_plus, :] = own + sigma * rng.standard_normal(
-        (trials, profile.d_plus, dim)
-    )
-    neighbors[:, profile.d_plus :, :] = other + sigma * rng.standard_normal(
-        (trials, profile.d_minus, dim)
-    )
-    return center, neighbors
+    if profile.degree == 0:
+        return center, np.zeros((trials, dim))
+    neighbor_sum = np.empty((trials, dim))
+    buffer = np.empty(max(_DRAW_BUFFER, profile.degree * dim))
+    first = True
+    for mean, count in ((own, profile.d_plus), (other, profile.d_minus)):
+        if count == 0:
+            continue
+        step = buffer.size // (count * dim)
+        for a in range(0, trials, step):
+            b = min(a + step, trials)
+            draws = buffer[: (b - a) * count * dim].reshape(b - a, count, dim)
+            rng.standard_normal(out=draws)
+            draws *= sigma
+            draws += mean
+            rows = neighbor_sum[a:b]
+            if first:
+                rows[...] = draws[:, 0]
+            for j in range(1 if first else 0, count):
+                rows += draws[:, j]
+        first = False
+    return center, neighbor_sum

@@ -165,6 +165,17 @@ def _mean_and_scalar_var(samples: np.ndarray) -> tuple[np.ndarray, float]:
     return mean, float(((samples - mean) ** 2).mean())
 
 
+def _gather_sum(pool: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """pool[idx].sum(axis=1) without the (rows, columns, dim) gather: one
+    gather into a reused buffer and one add per column of idx, in column
+    order, the additions numpy's row sum makes whenever dim > 1."""
+    total = pool[idx[:, 0]]
+    column = np.empty_like(total)
+    for j in range(1, idx.shape[1]):
+        total += np.take(pool, idx[:, j], axis=0, out=column)
+    return total
+
+
 def mc_single_layer_stats(
     profile: NodeProfile,
     stats: ClassStats,
@@ -183,16 +194,18 @@ def mc_single_layer_stats(
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable estimate")
     rng = _oracle_rng(seed)
+    # The chunk fixes the draw order (each chunk draws its centers, then
+    # its neighbors), so changing this formula moves every oracle table.
     chunk = max(1, 4_000_000 // (max(profile.degree, 1) * dim))
     means = []
     variances = []
     for own_label in (0, 1):
         aggregated = np.empty((trials, dim))
         for a, b in _chunk_bounds(trials, chunk):
-            center, nbrs = sample_neighborhood_batch(
+            center, neighbor_sum = sample_neighborhood_batch(
                 profile, stats, own_label, trials=b - a, rng=rng, dim=dim
             )
-            aggregated[a:b] = (center + nbrs.sum(axis=1)) / (profile.degree + 1)
+            aggregated[a:b] = (center + neighbor_sum) / (profile.degree + 1)
         mean, var = _mean_and_scalar_var(aggregated)
         means.append(mean)
         variances.append(var)
@@ -249,9 +262,9 @@ def mc_layer_trajectory(
                 rows = b - a
                 agg = own[rng.integers(0, trials, rows)].copy()
                 if profile.d_plus:
-                    agg += own[rng.integers(0, trials, (rows, profile.d_plus))].sum(axis=1)
+                    agg += _gather_sum(own, rng.integers(0, trials, (rows, profile.d_plus)))
                 if profile.d_minus:
-                    agg += other[rng.integers(0, trials, (rows, profile.d_minus))].sum(axis=1)
+                    agg += _gather_sum(other, rng.integers(0, trials, (rows, profile.d_minus)))
                 out[a:b] = agg / (profile.degree + 1)
             next_pools.append(out)
         pools = next_pools

@@ -164,15 +164,17 @@ class TestNeighborhoodSampler:
     def test_shapes_and_order(self):
         rng = np.random.default_rng(0)
         prof = NodeProfile(d_plus=3, d_minus=2, degree=5)
-        stats = ClassStats(delta_sq=4.0, sigma_sq=0.0)
-        center, nbrs = sample_neighborhood_batch(
-            prof, stats, own_label=0, trials=1, rng=rng, dim=4
+        stats = ClassStats(delta_sq=2.0, sigma_sq=0.0)
+        center, neighbor_sum = sample_neighborhood_batch(
+            prof, stats, own_label=0, trials=2, rng=rng, dim=4
         )
-        mu0, mu1 = canonical_prototypes(4.0, 4)
-        assert center.shape == (1, 4) and nbrs.shape == (1, 5, 4)
-        assert np.array_equal(center[0], mu0)
-        assert np.array_equal(nbrs[0, :3], np.tile(mu0, (3, 1)))
-        assert np.array_equal(nbrs[0, 3:], np.tile(mu1, (2, 1)))
+        mu0, mu1 = canonical_prototypes(2.0, 4)
+        expected = mu0.copy()
+        for row in (mu0, mu0, mu1, mu1):
+            expected += row
+        assert center.shape == (2, 4) and neighbor_sum.shape == (2, 4)
+        assert np.array_equal(center, np.tile(mu0, (2, 1)))
+        assert np.array_equal(neighbor_sum, np.tile(expected, (2, 1)))
 
     def test_prototype_distance(self):
         mu0, mu1 = canonical_prototypes(9.0, 6)
@@ -181,14 +183,21 @@ class TestNeighborhoodSampler:
 
     def test_batch_moments(self):
         rng = np.random.default_rng(1)
-        prof = NodeProfile(d_plus=2, d_minus=1, degree=3)
         stats = ClassStats(delta_sq=4.0, sigma_sq=1.0)
-        center, nbrs = sample_neighborhood_batch(prof, stats, 1, trials=200_000, rng=rng, dim=3)
         mu0, mu1 = canonical_prototypes(4.0, 3)
+
+        def draw(prof):
+            return sample_neighborhood_batch(prof, stats, 1, trials=200_000, rng=rng, dim=3)
+
+        center, neighbor_sum = draw(NodeProfile(d_plus=2, d_minus=1, degree=3))
         assert np.allclose(center.mean(axis=0), mu1, atol=0.02)
-        assert np.allclose(nbrs[:, :2].mean(axis=(0, 1)), mu1, atol=0.02)
-        assert np.allclose(nbrs[:, 2].mean(axis=0), mu0, atol=0.02)
         assert center.var(axis=0).mean() == pytest.approx(1.0, rel=0.02)
+        assert neighbor_sum.var(axis=0).mean() == pytest.approx(3 * 1.0, rel=0.02)
+        # one-block profiles isolate each block's mean
+        _, same_sum = draw(NodeProfile(d_plus=2, d_minus=0, degree=2))
+        assert np.allclose(same_sum.mean(axis=0) / 2, mu1, atol=0.02)
+        _, other_sum = draw(NodeProfile(d_plus=0, d_minus=1, degree=1))
+        assert np.allclose(other_sum.mean(axis=0), mu0, atol=0.02)
 
     def test_validation(self):
         rng = np.random.default_rng(0)

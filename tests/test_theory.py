@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adgnn.csbm import ClassStats
+from adgnn import csbm
+from adgnn.csbm import ClassStats, canonical_prototypes, sample_neighborhood_batch
 from adgnn.graph import NodeProfile
 from adgnn.theory import (
     AggregationStats,
@@ -203,6 +204,137 @@ class TestMonteCarloIterated:
         assert signals.shape == (3,)
         assert signals[0] == pytest.approx(UNIT.delta_sq, rel=0.03)
         assert noises[0] == pytest.approx(UNIT.sigma_sq, rel=0.03)
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def materialized_batch(profile, stats, own_label, trials, rng, dim):
+    """Neighborhood draws as the full (trials, degree, dim) tensor, summed
+    over its rows by numpy."""
+    mu0, mu1 = canonical_prototypes(stats.delta_sq, dim)
+    own, other = (mu0, mu1) if own_label == 0 else (mu1, mu0)
+    sigma = np.sqrt(stats.sigma_sq)
+    center = own + sigma * rng.standard_normal((trials, dim))
+    nbrs = np.empty((trials, profile.degree, dim))
+    nbrs[:, : profile.d_plus] = own + sigma * rng.standard_normal(
+        (trials, profile.d_plus, dim))
+    nbrs[:, profile.d_plus:] = other + sigma * rng.standard_normal(
+        (trials, profile.d_minus, dim))
+    return center, nbrs.sum(axis=1)
+
+
+def materialized_single_layer(profile, stats, trials, seed, dim=8):
+    rng = _philox(seed)
+    chunk = max(1, 4_000_000 // (max(profile.degree, 1) * dim))
+    means, variances = [], []
+    for own_label in (0, 1):
+        aggregated = np.empty((trials, dim))
+        for a in range(0, trials, chunk):
+            b = min(a + chunk, trials)
+            center, total = materialized_batch(profile, stats, own_label, b - a, rng, dim)
+            aggregated[a:b] = (center + total) / (profile.degree + 1)
+        mean = aggregated.mean(axis=0)
+        means.append(mean)
+        variances.append(float(((aggregated - mean) ** 2).mean()))
+    return float(np.sum((means[0] - means[1]) ** 2)), 0.5 * (variances[0] + variances[1])
+
+
+def materialized_trajectory(profile, stats, n_layers, trials, seed, dim=8):
+    rng = _philox(seed)
+    mu0, mu1 = canonical_prototypes(stats.delta_sq, dim)
+    sigma = np.sqrt(stats.sigma_sq)
+    pools = [mu0 + sigma * rng.standard_normal((trials, dim)),
+             mu1 + sigma * rng.standard_normal((trials, dim))]
+    signals, noises = [], []
+
+    def record():
+        m = [pool.mean(axis=0) for pool in pools]
+        v = [float(((pool - mi) ** 2).mean()) for pool, mi in zip(pools, m)]
+        signals.append(np.sum((m[0] - m[1]) ** 2))
+        noises.append(0.5 * (v[0] + v[1]))
+
+    record()
+    chunk = max(1, 4_000_000 // (max(profile.degree, 1) * dim))
+    for _ in range(n_layers):
+        next_pools = []
+        for own_label in (0, 1):
+            own, other = pools[own_label], pools[1 - own_label]
+            out = np.empty((trials, dim))
+            for a in range(0, trials, chunk):
+                rows = min(a + chunk, trials) - a
+                agg = own[rng.integers(0, trials, rows)].copy()
+                if profile.d_plus:
+                    agg += own[rng.integers(0, trials, (rows, profile.d_plus))].sum(axis=1)
+                if profile.d_minus:
+                    agg += other[rng.integers(0, trials, (rows, profile.d_minus))].sum(axis=1)
+                out[a:a + rows] = agg / (profile.degree + 1)
+            next_pools.append(out)
+        pools = next_pools
+        record()
+    return np.array(signals), np.array(noises)
+
+
+EXACT_PROFILES = [
+    NodeProfile(0, 1, 1), NodeProfile(1, 0, 1), NodeProfile(3, 2, 5), NodeProfile(6, 0, 6),
+    NodeProfile(0, 4, 4), NodeProfile(9, 11, 20), NodeProfile(0, 0, 0),
+]
+# crosses several buffer refills in every block above, a multiple of none
+RAGGED_TRIALS = 10_001
+
+
+class TestStreamedDrawsMatchMaterialized:
+    """The streamed sampler makes the same draws and the same additions, in
+    the same order, as materializing every neighbor and summing the rows, so
+    the oracles' outputs are equal bit for bit."""
+
+    @pytest.mark.parametrize("profile", EXACT_PROFILES, ids=str)
+    @pytest.mark.parametrize("stats", [UNIT, ClassStats(2.0, 0.0)], ids=["unit", "noiseless"])
+    def test_sampler(self, profile, stats):
+        for own_label in (0, 1):
+            got = sample_neighborhood_batch(
+                profile, stats, own_label, RAGGED_TRIALS, _philox(3), dim=8)
+            want = materialized_batch(profile, stats, own_label, RAGGED_TRIALS, _philox(3), 8)
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+
+    def test_ragged_trials_cross_buffer_steps(self):
+        for p in EXACT_PROFILES:
+            for count in (p.d_plus, p.d_minus):
+                if count:
+                    step = csbm._DRAW_BUFFER // (count * 8)
+                    assert RAGGED_TRIALS > step and RAGGED_TRIALS % step != 0
+
+    @pytest.mark.parametrize("profile", EXACT_PROFILES, ids=str)
+    def test_single_layer(self, profile):
+        mc = mc_single_layer_stats(profile, UNIT, trials=RAGGED_TRIALS, seed=4)
+        signal, noise = materialized_single_layer(profile, UNIT, RAGGED_TRIALS, seed=4)
+        assert mc.signal_variance == signal and mc.noise_variance == noise
+
+    @pytest.mark.parametrize("profile", EXACT_PROFILES, ids=str)
+    def test_trajectory(self, profile):
+        signals, noises = mc_layer_trajectory(profile, UNIT, 2, trials=RAGGED_TRIALS, seed=6)
+        want_signals, want_noises = materialized_trajectory(profile, UNIT, 2, RAGGED_TRIALS, 6)
+        assert (signals == want_signals).all() and (noises == want_noises).all()
+
+    def test_across_chunks(self):
+        # degree 20 at dim 8 draws 25,000 trials per chunk: 60,000 spans three
+        p = NodeProfile(9, 11, 20)
+        assert 4_000_000 // (p.degree * 8) == 25_000
+        mc = mc_single_layer_stats(p, UNIT, trials=60_000, seed=8)
+        assert (mc.signal_variance, mc.noise_variance) == materialized_single_layer(
+            p, UNIT, 60_000, seed=8)
+        signals, noises = mc_layer_trajectory(p, UNIT, 1, trials=60_000, seed=9)
+        want_signals, want_noises = materialized_trajectory(p, UNIT, 1, 60_000, 9)
+        assert (signals == want_signals).all() and (noises == want_noises).all()
+
+    def test_degree_zero_profile(self):
+        p = NodeProfile(0, 0, 0)
+        center, neighbor_sum = sample_neighborhood_batch(p, UNIT, 0, 5, _philox(1), dim=3)
+        assert neighbor_sum.shape == (5, 3) and not neighbor_sum.any()
+        mc = mc_single_layer_stats(p, UNIT, trials=2_000, seed=1)
+        assert math.isfinite(mc.signal_variance) and math.isfinite(mc.noise_variance)
+        assert mc.noise_variance == pytest.approx(UNIT.sigma_sq, rel=0.1)
 
 
 class TestCalibration:
