@@ -16,19 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .drivers import ExperimentSpec, execute, format_table
-
-_SUBCOMMANDS = (
-    "generate",
-    "train-eval",
-    "theory-validate",
-    "sweep-homophily",
-    "sweep-degree-threshold",
-    "sweep-depth",
-    "sweep-lambda",
-    "profile-depth-benefit",
-    "compare-heuristics",
-)
+from .drivers import KINDS, ExperimentSpec, execute, format_table
 
 _CONFIG_ERROR = 2
 _RUNTIME_ERROR = 1
@@ -40,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Adaptive-depth GNN experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in (kind.replace("_", "-") for kind in KINDS):
         p = sub.add_parser(name, help=f"run the {name} driver")
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with driver parameters")

@@ -43,21 +43,9 @@ from .theory import (
     multi_layer_stats,
     signal_preservation_factor,
 )
-from .train import RunResult, TrainConfig, multi_seed, train_model
+from .train import RunResult, TrainConfig, train_model
 
 __all__ = ["KINDS", "ExperimentSpec", "execute", "format_table"]
-
-KINDS = (
-    "generate",
-    "train_eval",
-    "theory_validate",
-    "sweep_homophily",
-    "sweep_degree_threshold",
-    "sweep_depth",
-    "sweep_lambda",
-    "profile_depth_benefit",
-    "compare_heuristics",
-)
 
 _FORMATS = ("csv", "json")
 
@@ -153,14 +141,15 @@ def _check_keys(cfg: dict, allowed: frozenset | set, kind: str) -> None:
 
 def _read(cfg: dict, key: str, of: type, default=None, many: bool = False):
     """cfg[key], or default when the key is absent, as an `of` (int,
-    float or str), or as a list of them when many.  A value of another
-    type is a config error naming the key: no bool is a number, an
-    integer takes no fraction, and a list key takes no scalar."""
+    float or str), or as a nonempty list of them when many.  A value of
+    another type is a config error naming the key: no bool is a number,
+    an integer takes no fraction, and a list key takes no scalar and no
+    empty list."""
     value = cfg.get(key, default)
     accepted, one, several = _READ_AS[of]
-    if many and not isinstance(value, (list, tuple)):
-        raise ValueError(f"config key {key!r} must be a list of {several}, "
-                         f"got {value!r}")
+    if many and not (isinstance(value, (list, tuple)) and value):
+        raise ValueError(f"config key {key!r} must be a nonempty list of "
+                         f"{several}, got {value!r}")
     items = value if many else [value]
     if any(isinstance(v, bool) or not isinstance(v, accepted) for v in items):
         what = f"a list of {several}" if many else one
@@ -259,15 +248,14 @@ def _train_seeds(
 ) -> RunResult:
     """One training run per seed: data_for(seed) supplies the data, and
     the same seed keys the split and the initialization."""
-
-    def run_one(s: int):
+    results = []
+    for s in seeds:
         data = data_for(s)
         split = make_split(data[0].num_nodes, seed=s)
         override = None if override_fn is None else override_fn(data[0])
-        return train_model(model_cfg, data, split, tc, seed=s,
-                           depth_override=override)
-
-    return multi_seed(run_one, seeds)
+        results.append(train_model(model_cfg, data, split, tc, seed=s,
+                                   depth_override=override))
+    return RunResult(tuple(results))
 
 
 def _sampled(params: CsbmParams):
@@ -339,7 +327,7 @@ def run_train(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
         "best_val_accuracy",
         "mean_stopping_depth",
     ]
-    rows = [[r.csv_row()[k] for k in header] for r in results]
+    rows = [[getattr(r, k) for k in header] for r in results]
     return header, rows
 
 
@@ -548,8 +536,6 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
     names = _read(cfg, "heuristics", str, HEURISTIC_NAMES + ("degree",), many=True)
-    if not names:
-        raise ValueError("heuristic list must be nonempty")
     if len(set(names)) != len(names):
         raise ValueError("heuristic list names a source twice")
     for name in names:
@@ -559,6 +545,8 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
                 f"{HEURISTIC_NAMES + ('degree',)}"
             )
     repeats = _read(cfg, "timing_repeats", int, 3)
+    if repeats < 1:
+        raise ValueError("config key 'timing_repeats' must be at least 1")
     tc = _train_config(cfg)
     params = _csbm_params(cfg)
     data = sample_graph(params, seed=_read(cfg, "data_seed", int, 0))
@@ -574,7 +562,7 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
             )
             score_fn = lambda n=name: heuristic_similarity(graph, n)  # noqa: E731
         elapsed = []
-        for i in range(max(1, repeats)):
+        for i in range(repeats):
             start = time.perf_counter()
             if i == 0:
                 # a miss on this fresh graph: it fills the cache training reads
@@ -598,6 +586,7 @@ _DISPATCH = {
     "profile_depth_benefit": run_profile_depth_benefit,
     "compare_heuristics": run_compare_heuristics,
 }
+KINDS = tuple(_DISPATCH)
 
 
 def format_table(header: list[str], rows: list[list], output_format: str) -> str:

@@ -186,9 +186,12 @@ class AdGnnConfig:
 
 @dataclass(frozen=True)
 class ForwardResult:
+    """Logits, depth plan and per-arc head scores; the training loop's
+    result for a plain backbone has no plan and no arc scores."""
+
     logits: Tensor
-    plan: DepthPlan
-    arc_probs: Tensor
+    plan: DepthPlan | None
+    arc_probs: Tensor | None
 
 
 def init_adgnn_params(

@@ -193,6 +193,8 @@ def mc_single_layer_stats(
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable estimate")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     rng = _oracle_rng(seed)
     # The chunk fixes the draw order (each chunk draws its centers, then
     # its neighbors), so changing this formula moves every oracle table.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "accuracy",
     "fit_model",
     "train_model",
-    "multi_seed",
 ]
 
 # Soft-gate temperature schedule: halve every 25 epochs, never below 1e-3.
@@ -101,15 +99,6 @@ class SeedResult:
     mean_stopping_depth: float
     depth_histogram: tuple[int, ...]
 
-    def csv_row(self) -> dict:
-        return {
-            "seed": self.seed,
-            "test_accuracy": self.test_accuracy,
-            "best_val_epoch": self.best_val_epoch,
-            "best_val_accuracy": self.best_val_accuracy,
-            "mean_stopping_depth": self.mean_stopping_depth,
-        }
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -149,25 +138,17 @@ def accuracy(logits, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((pred == np.asarray(labels)[mask]).mean())
 
 
-def _init(cfg, in_dim: int, num_classes: int, seed: int) -> dict[str, Tensor]:
-    if isinstance(cfg, AdGnnConfig):
-        return init_adgnn_params(cfg, in_dim, num_classes, seed)
-    return init_params(cfg, in_dim, num_classes, seed)
-
-
-def _train_output(cfg, params, graph, x, rng, depth_override):
-    if isinstance(cfg, AdGnnConfig):
-        return forward(
-            cfg, params, graph, x, dropout_rng=rng, depth_override=depth_override
-        )
-    return plain_forward(cfg, params, graph, x, dropout_rng=rng)
-
-
-def _eval_logits(cfg, params, graph, x, depth_override):
-    if isinstance(cfg, AdGnnConfig):
-        hard = dataclasses.replace(cfg, gating="hard")
-        return forward(hard, params, graph, x, depth_override=depth_override)
-    return plain_forward(cfg, params, graph, x)
+def _forward(cfg, params, graph, x, rng, depth_override) -> ForwardResult:
+    """One pass of the model `cfg` builds; a plain backbone's result has no
+    plan and no arc scores.  rng None is the evaluation pass: no dropout,
+    and an adaptive model gates hard."""
+    if isinstance(cfg, BackboneConfig):
+        logits = plain_forward(cfg, params, graph, x, dropout_rng=rng)
+        return ForwardResult(logits, None, None)
+    if rng is None:
+        cfg = dataclasses.replace(cfg, gating="hard")
+    return forward(cfg, params, graph, x, dropout_rng=rng,
+                   depth_override=depth_override)
 
 
 def _decay_weights(params: dict[str, Tensor], lr: float, wd: float) -> None:
@@ -189,13 +170,18 @@ def fit_model(
     depth_override: np.ndarray | None = None,
 ) -> tuple[SeedResult, dict[str, np.ndarray]]:
     """Train one seed and return its result plus the selected parameter
-    values (the snapshot at the best validation epoch)."""
+    values (the snapshot at the best validation epoch).
+
+    The test accuracy, mean depth and depth histogram come from the
+    selected epoch's own evaluation pass.  That pass has no dropout and
+    gates hard, so it is what the snapshot gives again: no forward runs
+    after the epoch loop."""
     graph, features, labels = data
     x = tensor(np.asarray(features, dtype=np.float64))
     y = labels.labels
-    num_classes = labels.num_classes
     adaptive = isinstance(cfg, AdGnnConfig)
-    params = _init(cfg, x.shape[1], num_classes, seed)
+    init = init_adgnn_params if adaptive else init_params
+    params = init(cfg, x.shape[1], labels.num_classes, seed)
     policy = {n: p for n, p in params.items() if n.startswith("threshold.")}
     trunk = {n: p for n, p in params.items() if n not in policy}
     state = init_optimizer(trunk, lr=tc.lr)
@@ -214,6 +200,7 @@ def fit_model(
     best_val = -1.0
     best_epoch = -1
     best_values: dict[str, np.ndarray] = {}
+    best_out: ForwardResult | None = None
     history: list[float] = []
     for epoch in range(tc.epochs):
         epoch_cfg = cfg
@@ -228,14 +215,11 @@ def fit_model(
                     ),
                 )
         with Tape() as tape:
-            out = _train_output(epoch_cfg, params, graph, x, rng, depth_override)
-            logits = out.logits if isinstance(out, ForwardResult) else out
-            task = softmax_cross_entropy(logits, y, split.train)
+            out = _forward(epoch_cfg, params, graph, x, rng, depth_override)
+            loss = softmax_cross_entropy(out.logits, y, split.train)
             if needs_reg:
                 reg = regularization_loss(out.arc_probs, pair_arcs, same_label)
-                loss = total_loss(task, reg)
-            else:
-                loss = task
+                loss = total_loss(loss, reg)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise RuntimeError(
@@ -251,39 +235,29 @@ def fit_model(
         if policy_state is not None:
             adam_step(policy, named_grads, policy_state)
 
-        val_out = _eval_logits(cfg, params, graph, x, depth_override)
-        val_logits = val_out.logits if isinstance(val_out, ForwardResult) else val_out
-        val_acc = accuracy(val_logits, y, split.val)
+        val_out = _forward(cfg, params, graph, x, None, depth_override)
+        val_acc = accuracy(val_out.logits, y, split.val)
         history.append(val_acc)
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
             best_values = {k: p.values.copy() for k, p in params.items()}
+            best_out = val_out
         elif (
             tc.early_stop_patience is not None
             and epoch - best_epoch >= tc.early_stop_patience
         ):
             break
 
-    for k, p in params.items():
-        p.values[:] = best_values[k]
-    final = _eval_logits(cfg, params, graph, x, depth_override)
-    if isinstance(final, ForwardResult):
-        test_acc = accuracy(final.logits, y, split.test)
-        mean_depth = final.plan.mean_depth()
-        hist = tuple(int(c) for c in final.plan.depth_histogram())
-    else:
-        test_acc = accuracy(final, y, split.test)
-        mean_depth = float("nan")
-        hist = ()
+    plan = best_out.plan
     result = SeedResult(
         seed=seed,
-        test_accuracy=test_acc,
+        test_accuracy=accuracy(best_out.logits, y, split.test),
         best_val_epoch=best_epoch,
         best_val_accuracy=best_val,
         val_history=tuple(history),
-        mean_stopping_depth=mean_depth,
-        depth_histogram=hist,
+        mean_stopping_depth=float("nan") if plan is None else plan.mean_depth(),
+        depth_histogram=() if plan is None else tuple(plan.depth_histogram().tolist()),
     )
     return result, best_values
 
@@ -297,11 +271,3 @@ def train_model(
     depth_override: np.ndarray | None = None,
 ) -> SeedResult:
     return fit_model(cfg, data, split, tc, seed, depth_override)[0]
-
-
-def multi_seed(
-    run_one: Callable[[int], SeedResult], seeds: Sequence[int]
-) -> RunResult:
-    if len(seeds) == 0:
-        raise ValueError("at least one seed required")
-    return RunResult(tuple(run_one(int(s)) for s in seeds))

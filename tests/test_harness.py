@@ -4,6 +4,7 @@ Driver runs here use deliberately tiny instances; the full-scale
 qualitative reproductions live in the acceptance suite.
 """
 
+import argparse
 import importlib.util
 import json
 import sys
@@ -467,6 +468,21 @@ class TestCli:
         assert main(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
 
+    def test_subcommands_are_the_driver_kinds(self):
+        from adgnn.cli import _build_parser
+
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert [name.replace("-", "_") for name in sub.choices] == list(drivers.KINDS)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_theory_validate_dim_below_one_exits_2(self, tmp_path, capsys, dim):
+        # dim 0 used to divide by zero in the oracle's chunk size and exit 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"profiles": 2, "trials": 1000, "dim": dim}))
+        assert main(["theory-validate", "--config", str(cfg)]) == 2
+        assert "dim must be at least 1" in capsys.readouterr().err
+
     def test_missing_config_names_path(self, capsys):
         assert main(["train-eval", "--config", "/does/not/exist.json"]) == 2
         assert "/does/not/exist.json" in capsys.readouterr().err
@@ -543,15 +559,26 @@ class TestCli:
          ("sweep-homophily", '"grid": 0.5', "grid"),
          ("sweep-degree-threshold", '"thresholds": [1.9]', "thresholds"),
          ("compare-heuristics", '"heuristics": "jaccard"', "heuristics"),
-         ("train-eval", '"data": 5', "data")],
+         ("train-eval", '"data": 5', "data"),
+         ("sweep-homophily", '"grid": []', "grid"),
+         ("sweep-degree-threshold", '"thresholds": []', "thresholds"),
+         ("sweep-depth", '"depths": []', "depths"),
+         ("sweep-lambda", '"lambdas": []', "lambdas"),
+         ("compare-heuristics", '"heuristics": []', "heuristics"),
+         ("compare-heuristics", '"timing_repeats": 0', "timing_repeats"),
+         ("compare-heuristics", '"timing_repeats": -2', "timing_repeats")],
         ids=["float_integer", "bool_integer", "scalar_grid", "float_in_int_list",
-             "string_heuristics", "number_data"],
+             "string_heuristics", "number_data", "empty_grid", "empty_thresholds",
+             "empty_depths", "empty_lambdas", "empty_heuristics", "zero_repeats",
+             "negative_repeats"],
     )
     def test_config_value_of_wrong_type_exits_2(
         self, tmp_path, capsys, command, extra, key
     ):
         # these used to run as the value cast by int() or float(), fail
-        # inside the driver, or report the letters of a name as sources
+        # inside the driver, or report the letters of a name as sources;
+        # an empty list ran to a header-only table, and a timing_repeats
+        # below 1 ran one timing
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
         assert main([command, "--config", str(cfg), "--seeds", "0"]) == 2
@@ -745,3 +772,28 @@ class TestBenchmarkTraceTargets:
         params = model.init_adgnn_params(cfg, features.shape[1], 2, seed=0)
         model.forward(cfg, params, graph, tensor(features))
         assert sorted(set(tracing._PLAN_FUNCTIONS) - called) == []
+
+    def test_traced_fit_model_keeps_the_benchmark_contract(self, tracing):
+        # the benchmark's work_per_s reads len(out[0].val_history) from
+        # fit_model's return, and its forward spans tell training from
+        # evaluation by the dropout generator: one of each per epoch
+        from adgnn import backbones, csbm, theory, train
+        import adgnn.cli
+
+        modules = {"cli": adgnn.cli, "drivers": drivers, "train": train,
+                   "model": model, "backbones": backbones, "csbm": csbm,
+                   "theory": theory}
+        data = small_csbm()
+        split = make_split(80, seed=0)
+        cfg = AdGnnConfig(t_max=2, backbone=BackboneConfig(layers=2, hidden_dim=8))
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer, modules, full=True):
+            result, best = train.fit_model(cfg, data, split,
+                                           TrainConfig(epochs=3), seed=0)
+        assert set(best) == set(model.init_adgnn_params(cfg, 4, 2, 0))
+        names = [s.name for s in tracer.spans]
+        assert names.count("train.fit_model") == 1
+        assert names.count("model.forward.train") == 3
+        assert names.count("model.forward.val") == 3
+        fit = tracer.spans[names.index("train.fit_model")]
+        assert fit.attrs["epochs"] == len(result.val_history) == 3

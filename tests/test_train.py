@@ -6,6 +6,8 @@ early stopping, seed determinism, and end-to-end accuracy on an easy
 synthetic instance.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from adgnn.train import (
     accuracy,
     annealed_temperature,
     fit_model,
-    multi_seed,
     train_model,
 )
 from adgnn.train import _decay_weights
@@ -144,14 +145,24 @@ class TestDecayWeights:
 
 
 class TestMultiSeed:
-    def test_mean_and_population_std(self):
-        run = multi_seed(lambda s: stub_result(s, [0.8, 1.0][s]), [0, 1])
+    def test_mean_and_population_std(self, monkeypatch):
+        import adgnn.drivers as drivers_module
+
+        # the drivers train one seed at a time and keep the seed order
+        def stub_train(cfg, data, split, tc, seed, depth_override=None):
+            return stub_result(seed, [0.8, 1.0][seed])
+
+        monkeypatch.setattr(drivers_module, "train_model", stub_train)
+        data = csbm_data(10, 0.8, 3.0, 4.0, 2, seed=0)
+        run = drivers_module._train_seeds(
+            backbone(1), TrainConfig(epochs=1), (1, 0), lambda s: data
+        )
+        assert isinstance(run, RunResult)
+        assert [r.seed for r in run.seed_results] == [1, 0]
         assert run.mean == pytest.approx(0.9)
         assert run.std == pytest.approx(0.1)
 
     def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            multi_seed(lambda s: stub_result(s, 1.0), [])
         with pytest.raises(ValueError):
             RunResult(())
 
@@ -305,7 +316,8 @@ class TestAdaptiveTraining:
 
         # the training forward scores every edge once and the pair loss
         # reads those scores; the validation forward scores them once
-        # more.  A two-epoch warm-up gives the soft run hard and soft epochs
+        # more, and nothing runs after the loop.  A two-epoch warm-up
+        # gives the soft run hard and soft epochs
         monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
         rows = []
         real = model_module.pair_probability
@@ -319,8 +331,7 @@ class TestAdaptiveTraining:
         split = make_split(80, seed=5)
         cfg = AdGnnConfig(t_max=2, backbone=backbone(2), gating=gating)
         fit_model(cfg, data, split, TrainConfig(epochs=4, lr=0.01), seed=0)
-        # two per epoch, and one for the selected snapshot's test forward
-        assert rows == [data[0].num_edges] * (2 * 4 + 1)
+        assert rows == [data[0].num_edges] * (2 * 4)
 
     def test_threshold_params_move_only_in_soft_mode(self, monkeypatch):
         import adgnn.train as train_module
@@ -373,3 +384,65 @@ class TestAdaptiveTraining:
             best["threshold.intercept_raw"],
             fresh["threshold.intercept_raw"].values,
         )
+
+
+class TestOneForwardPerPass:
+    CASES = {
+        "plain": backbone(2),
+        "learned_soft": AdGnnConfig(t_max=2, backbone=backbone(2),
+                                    variant="learned", gating="soft"),
+        "fast_degree_hard": AdGnnConfig(t_max=2, backbone=backbone(2),
+                                        variant="fast_degree", gating="hard"),
+    }
+
+    @pytest.mark.parametrize("patience", [None, 2], ids=["full", "early_stop"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_one_train_and_one_eval_forward_per_epoch(
+        self, name, patience, monkeypatch
+    ):
+        import adgnn.train as train_module
+
+        # each epoch runs one training forward (with the dropout generator)
+        # and one evaluation forward (without); none runs after the loop.
+        # A two-epoch warm-up gives the soft run hard and soft epochs
+        monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
+        calls = []
+        for attr in ("forward", "plain_forward"):
+            real = getattr(train_module, attr)
+
+            def spy(*args, _real=real, **kwargs):
+                rng = kwargs["dropout_rng"]
+                calls.append("val" if rng is None else "train")
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(train_module, attr, spy)
+        data = csbm_data(60, 0.95, 10.0, 49.0, 4, seed=2)
+        split = make_split(120, seed=2)
+        tc = TrainConfig(epochs=40, lr=0.05, early_stop_patience=patience)
+        result, _ = fit_model(self.CASES[name], data, split, tc, seed=0)
+        epochs = len(result.val_history)
+        if patience is not None:
+            assert epochs == result.best_val_epoch + patience + 1 < 40
+        assert calls == ["train", "val"] * epochs
+
+    @pytest.mark.parametrize("name", ["learned_soft", "fast_degree_hard"])
+    def test_result_is_the_selected_snapshots_evaluation(self, name):
+        from adgnn.model import forward, init_adgnn_params
+
+        # the result read from the best epoch's own evaluation pass equals
+        # a fresh hard forward of the returned snapshot
+        cfg = self.CASES[name]
+        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
+        graph, features, labels = data
+        split = make_split(80, seed=6)
+        tc = TrainConfig(epochs=40, lr=0.05)
+        result, best_values = fit_model(cfg, data, split, tc, seed=0)
+        assert result.best_val_epoch < 39  # later epochs moved the weights
+        params = init_adgnn_params(cfg, features.shape[1], labels.num_classes, 0)
+        for name_, p in params.items():
+            p.values[:] = best_values[name_]
+        hard = dataclasses.replace(cfg, gating="hard")
+        out = forward(hard, params, graph, tensor(features))
+        assert accuracy(out.logits, labels.labels, split.test) == result.test_accuracy
+        assert out.plan.mean_depth() == result.mean_stopping_depth
+        assert tuple(out.plan.depth_histogram()) == result.depth_histogram
