@@ -172,10 +172,10 @@ def fit_model(
     """Train one seed and return its result plus the selected parameter
     values (the snapshot at the best validation epoch).
 
-    The test accuracy, mean depth and depth histogram come from the
-    selected epoch's own evaluation pass.  That pass has no dropout and
-    gates hard, so it is what the snapshot gives again: no forward runs
-    after the epoch loop."""
+    The test accuracy and the plan behind the mean depth and histogram
+    come from the selected epoch's own evaluation pass.  That pass has no
+    dropout and gates hard, so it is what the snapshot gives again: no
+    forward runs after the epoch loop."""
     graph, features, labels = data
     x = tensor(np.asarray(features, dtype=np.float64))
     y = labels.labels
