@@ -192,11 +192,15 @@ def sample_neighborhood_batch(
     trials: int,
     rng: np.random.Generator,
     dim: int = 8,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized neighborhood draws for Monte Carlo estimation.
 
     Returns (center, neighbor_sum), both (trials, dim): each trial's own
     feature vector and the sum of its degree neighbors' feature vectors.
+    The centers are drawn, scaled and shifted in place in `out` when it is
+    given (a C-contiguous float64 (trials, dim) array), which is then the
+    returned center.
     The draw order is center, then the same-label block, then the
     other-label block, each block trial by trial and row by row, so the
     result is reproducible from the generator state.  Each block is drawn
@@ -211,11 +215,19 @@ def sample_neighborhood_batch(
         raise ValueError("own_label must be 0 or 1")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if out is None:
+        out = np.empty((trials, dim))
+    elif not (isinstance(out, np.ndarray) and out.shape == (trials, dim)
+              and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(trials, dim)}, got {out!r:.60}")
     mu0, mu1 = canonical_prototypes(stats.delta_sq, dim)
     own = mu0 if own_label == 0 else mu1
     other = mu1 if own_label == 0 else mu0
     sigma = np.sqrt(stats.sigma_sq)
-    center = own + sigma * rng.standard_normal((trials, dim))
+    center = rng.standard_normal(out=out)
+    center *= sigma
+    center += own
     if profile.degree == 0:
         return center, np.zeros((trials, dim))
     neighbor_sum = np.empty((trials, dim))

@@ -162,7 +162,9 @@ def _chunk_bounds(total: int, chunk: int):
 def _mean_and_scalar_var(samples: np.ndarray) -> tuple[np.ndarray, float]:
     # scalar noise convention: average per-dimension variance (trace / dim)
     mean = samples.mean(axis=0)
-    return mean, float(((samples - mean) ** 2).mean())
+    deviation = samples - mean
+    deviation **= 2
+    return mean, float(deviation.mean())
 
 
 def _gather_sum(pool: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -189,7 +191,10 @@ def mc_single_layer_stats(
     sampler, aggregates each with the uniform self-inclusive mean, and
     measures conditional means and per-dimension variances directly.
     Trials are consumed in a fixed chunked order, so a seed fully
-    determines the result.
+    determines the result.  The centers are drawn straight into one
+    (trials, dim) array, reused for both labels, and each chunk's
+    neighbor sum is added and divided there in place: a call holds about
+    2 * trials * dim doubles at its peak.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable estimate")
@@ -201,13 +206,16 @@ def mc_single_layer_stats(
     chunk = max(1, 4_000_000 // (max(profile.degree, 1) * dim))
     means = []
     variances = []
+    aggregated = np.empty((trials, dim))
     for own_label in (0, 1):
-        aggregated = np.empty((trials, dim))
         for a, b in _chunk_bounds(trials, chunk):
-            center, neighbor_sum = sample_neighborhood_batch(
-                profile, stats, own_label, trials=b - a, rng=rng, dim=dim
-            )
-            aggregated[a:b] = (center + neighbor_sum) / (profile.degree + 1)
+            # the sampler writes the centers into rows; the neighbor sum is
+            # freed as soon as it has been added
+            rows = aggregated[a:b]
+            rows += sample_neighborhood_batch(
+                profile, stats, own_label, trials=b - a, rng=rng, dim=dim, out=rows
+            )[1]
+            rows /= profile.degree + 1
         mean, var = _mean_and_scalar_var(aggregated)
         means.append(mean)
         variances.append(var)
@@ -262,12 +270,12 @@ def mc_layer_trajectory(
             out = np.empty((trials, dim))
             for a, b in _chunk_bounds(trials, chunk):
                 rows = b - a
-                agg = own[rng.integers(0, trials, rows)].copy()
+                agg = own[rng.integers(0, trials, rows)]
                 if profile.d_plus:
                     agg += _gather_sum(own, rng.integers(0, trials, (rows, profile.d_plus)))
                 if profile.d_minus:
                     agg += _gather_sum(other, rng.integers(0, trials, (rows, profile.d_minus)))
-                out[a:b] = agg / (profile.degree + 1)
+                np.divide(agg, profile.degree + 1, out=out[a:b])
             next_pools.append(out)
         pools = next_pools
         record(k)

@@ -175,11 +175,15 @@ def fit_model(
     The test accuracy and the plan behind the mean depth and histogram
     come from the selected epoch's own evaluation pass.  That pass has no
     dropout and gates hard, so it is what the snapshot gives again: no
-    forward runs after the epoch loop."""
+    forward runs after the epoch loop.  A depth override is a plan for
+    the adaptive model; a plain backbone rejects it."""
     graph, features, labels = data
     x = tensor(np.asarray(features, dtype=np.float64))
     y = labels.labels
     adaptive = isinstance(cfg, AdGnnConfig)
+    if depth_override is not None and not adaptive:
+        raise ValueError("depth_override needs an adaptive model; a plain "
+                         "backbone has no depth plan")
     init = init_adgnn_params if adaptive else init_params
     params = init(cfg, x.shape[1], labels.num_classes, seed)
     policy = {n: p for n, p in params.items() if n.startswith("threshold.")}

@@ -207,3 +207,29 @@ class TestNeighborhoodSampler:
             sample_neighborhood_batch(prof, stats, own_label=2, trials=1, rng=rng)
         with pytest.raises(ValueError):
             sample_neighborhood_batch(prof, stats, 0, trials=0, rng=rng)
+
+    def test_centers_drawn_into_out(self):
+        prof = NodeProfile(d_plus=3, d_minus=2, degree=5)
+        stats = ClassStats(delta_sq=4.0, sigma_sq=2.5)
+        want = sample_neighborhood_batch(prof, stats, 1, trials=50,
+                                         rng=np.random.default_rng(2), dim=3)
+        rows = np.empty((80, 3))
+        got = sample_neighborhood_batch(prof, stats, 1, trials=50,
+                                        rng=np.random.default_rng(2), dim=3,
+                                        out=rows[10:60])
+        assert np.shares_memory(got[0], rows) and got[0].shape == (50, 3)
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((4, 2)), np.empty((5, 3)), np.empty(10),
+         np.empty((5, 2), dtype=np.float32), np.empty((5, 2), dtype=np.int64),
+         np.empty((5, 2), order="F"), np.empty((5, 4))[:, ::2],
+         np.empty((10, 2))[::2], [[0.0, 0.0]] * 5],
+        ids=["few_rows", "wide", "flat", "float32", "int64", "fortran",
+             "strided_columns", "strided_rows", "list"])
+    def test_bad_out_rejected(self, out):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="out must be"):
+            sample_neighborhood_batch(NodeProfile(1, 1, 2), ClassStats(4.0, 1.0),
+                                      0, trials=5, rng=rng, dim=2, out=out)

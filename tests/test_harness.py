@@ -8,6 +8,7 @@ import argparse
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from adgnn.cli import main
 from adgnn.csbm import (
+    ClassStats,
     CsbmParams,
     canonical_prototypes,
     homophily_from_target,
@@ -23,7 +25,7 @@ from adgnn.csbm import (
 )
 from adgnn.datasets import load_dataset, save_dataset
 from adgnn.drivers import ExperimentSpec, execute
-from adgnn.graph import LabelVector, build_graph, make_split
+from adgnn.graph import LabelVector, NodeProfile, build_graph, make_split
 from adgnn.heuristics import HEURISTIC_NAMES
 from adgnn import drivers, model
 from adgnn.autodiff import tensor
@@ -208,6 +210,74 @@ class TestTheoryValidate:
                               parameters={"profiles": 0})
         with pytest.raises(ValueError):
             execute(spec)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pool_rows_equal_a_serial_loop(self, monkeypatch, cpus):
+        # at dim 64 a chunk holds 4e6 // (64 d) trials: all 4,000 trials up
+        # to degree 15, more than one chunk from degree 16
+        monkeypatch.setattr(drivers.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        workers = []
+
+        class Pool(drivers.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(drivers, "ThreadPoolExecutor", Pool)
+        calls = []
+        real = drivers.mc_single_layer_stats
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drivers, "mc_single_layer_stats", spy)
+        params = {"profiles": 7, "trials": 4000, "max_degree": 20, "dim": 64}
+        stats = ClassStats(delta_sq=4.0, sigma_sq=1.0)
+        _, rows = execute(ExperimentSpec(kind="theory_validate",
+                                         parameters=params, seeds=(5,)))
+        assert workers == [cpus] and sorted(calls) == [5 * 1_000_003 + i
+                                                       for i in range(7)]
+        degrees = [row[2] for row in rows]
+        assert min(degrees) <= 15 < 16 <= max(degrees)
+        for i, row in enumerate(rows):
+            want = real(NodeProfile(row[0], row[1], row[2]), stats, trials=4000,
+                        seed=5 * 1_000_003 + i, dim=64)
+            assert (row[5], row[7]) == (want.signal_variance, want.noise_variance)
+
+    def test_failing_profile_exits_1_and_joins_the_pool(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(drivers.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        real = drivers.mc_single_layer_stats
+
+        def failing(profile, stats, trials, seed, dim):
+            if seed % 1_000_003 == 2:
+                raise RuntimeError("profile 2 failed")
+            return real(profile, stats, trials=trials, seed=seed, dim=dim)
+
+        monkeypatch.setattr(drivers, "mc_single_layer_stats", failing)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"profiles": 6, "trials": 1000}))
+        out = tmp_path / "table.csv"
+        before = threading.active_count()
+        assert main(["theory-validate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "profile 2 failed" in capsys.readouterr().err
+        assert not out.exists() and not list(tmp_path.glob("table.csv*"))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("key, value", [("trials", 999), ("trials", 0),
+                                            ("dim", 0)])
+    def test_oracle_inputs_checked_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        calls = []
+        monkeypatch.setattr(drivers, "mc_single_layer_stats",
+                            lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"profiles": 2, "trials": 1000, key: value}))
+        assert main(["theory-validate", "--config", str(cfg)]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestSweepHomophily:

@@ -244,6 +244,24 @@ class TestFitModel:
         fit_model(cfg, data, split, TrainConfig(epochs=4, lr=0.05), seed=0)
         assert checked == [0, 1, 2, 3]
 
+    def test_plain_backbone_rejects_a_depth_plan(self, monkeypatch):
+        import adgnn.train as train_module
+
+        data = csbm_data(50, 0.8, 6.0, 4.0, 4, seed=5)
+        split = make_split(100, seed=5)
+        tc = TrainConfig(epochs=5)
+        inits = []
+        monkeypatch.setattr(train_module, "init_params",
+                            lambda *a: inits.append(a) or init_params(*a))
+        with pytest.raises(ValueError, match="depth_override"):
+            train_model(backbone(2), data, split, tc, 0,
+                        depth_override=np.zeros(100, dtype=int))
+        assert inits == []
+        # without an override the plain run is the one it always was
+        result = train_model(backbone(2), data, split, tc, 0)
+        assert result.val_history == (0.2, 0.35, 0.35, 0.45, 0.45)
+        assert (result.best_val_epoch, result.test_accuracy) == (3, 0.45)
+
     def test_divergence_raises(self):
         # an absurd step size overflows the weights within two epochs; the
         # loop must fail loudly instead of selecting a garbage snapshot
