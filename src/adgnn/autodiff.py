@@ -3,9 +3,9 @@
 Just enough machinery to train the models in this package: a Tensor wraps a
 float64 numpy array, primitives record their backward rules onto an active
 Tape, and backward() replays the tape once in reverse.  Graph aggregation is
-the only sparse piece; it is expressed as multiplication by a scipy.sparse
-operator, or by some of its rows, so its backward rule is multiplication by
-the transpose.
+the only sparse piece: one primitive, spmm, multiplies by a scipy.sparse
+operator of one of three kinds (mean_self, mean_nbr, symnorm), or by some
+of its rows, so its backward rule is multiplication by the transpose.
 
 Tensors are strictly 2-d and nothing broadcasts: the operands of an
 elementwise op have equal shapes.  A Tape belongs to a single forward/backward
@@ -28,7 +28,6 @@ __all__ = [
     "Tape",
     "OptimizerState",
     "tensor",
-    "set_debug",
     "backward",
     "matmul",
     "add",
@@ -37,9 +36,7 @@ __all__ = [
     "where_rows",
     "scatter_rows",
     "dropout",
-    "spmm_mean_self",
-    "spmm_mean_nbr",
-    "spmm_symnorm",
+    "spmm",
     "softmax_cross_entropy",
     "binary_cross_entropy",
     "init_optimizer",
@@ -50,14 +47,7 @@ __all__ = [
 # clamp applied to probabilities before any log
 PROB_EPS = 1e-7
 
-_DEBUG = False
 _ACTIVE_TAPE: "Tape | None" = None
-
-
-def set_debug(enabled: bool) -> None:
-    """When enabled, every primitive checks its output for NaN/Inf."""
-    global _DEBUG
-    _DEBUG = bool(enabled)
 
 
 class Tensor:
@@ -121,8 +111,6 @@ class Tape:
 
 
 def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _DEBUG and not np.all(np.isfinite(out.values)):
-        raise FloatingPointError("primitive produced non-finite values")
     if _ACTIVE_TAPE is not None and out.requires_grad and not _ACTIVE_TAPE._consumed:
         _ACTIVE_TAPE._record(out, inputs, backward_fn)
     return out
@@ -329,7 +317,15 @@ def _operator_rows(graph: Graph, kind: str, rows: np.ndarray) -> sp.csr_matrix:
     return op
 
 
-def _spmm(graph: Graph, h: Tensor, kind: str, rows: np.ndarray | None) -> Tensor:
+def spmm(graph: Graph, h: Tensor, kind: str, rows: np.ndarray | None = None) -> Tensor:
+    """`h` aggregated over the graph by the operator of one `kind`.
+
+    mean_self: (h_v + sum of neighbor rows) / (degree + 1); isolated rows
+    pass through unchanged.  mean_nbr: the neighbor mean without the self
+    term; isolated rows become 0.  symnorm: D^-1/2 (I + A) D^-1/2 with D
+    the degree plus one.  With `rows`, only those output rows are
+    computed, in that order.
+    """
     if h.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match node count")
     if rows is None:
@@ -348,24 +344,6 @@ def _spmm(graph: Graph, h: Tensor, kind: str, rows: np.ndarray | None) -> Tensor
         return (op.T @ g,)
 
     return _emit(out, (h,), bwd)
-
-
-def spmm_mean_self(graph: Graph, h: Tensor, rows: np.ndarray | None = None) -> Tensor:
-    """Self-inclusive mean over neighbors:
-    out_v = (h_v + sum of neighbor rows) / (degree + 1).
-    Isolated rows pass through unchanged.  With `rows`, only those output
-    rows are computed, in that order; every aggregator takes them."""
-    return _spmm(graph, h, "mean_self", rows)
-
-
-def spmm_mean_nbr(graph: Graph, h: Tensor, rows: np.ndarray | None = None) -> Tensor:
-    """Plain neighbor mean without the self term; isolated rows become 0."""
-    return _spmm(graph, h, "mean_nbr", rows)
-
-
-def spmm_symnorm(graph: Graph, h: Tensor, rows: np.ndarray | None = None) -> Tensor:
-    """Symmetric-normalized propagation with an implicit self loop."""
-    return _spmm(graph, h, "symnorm", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A parameter set is a flat dict of named tensors whose keys spell out the
 layer spine: ``conv3.weight`` is the weight of an aggregating layer at
 position 3, ``dense0.weight`` a purely feature-wise transform.  Layers run
-in index order with a ReLU after every layer except the last.
+in index order with a ReLU after every layer except the last.  The three
+backbone kinds differ only in the ``autodiff.spmm`` operator an aggregating
+layer applies, which ``_AGGREGATORS`` names once per kind.
 plain_forward executes whatever spine its parameters describe with every
 edge active, which makes it both the non-adaptive baseline and the
 reference implementation that gated forwards must reduce to.
@@ -23,9 +25,7 @@ from .autodiff import (
     matmul,
     relu,
     row_gather,
-    spmm_mean_nbr,
-    spmm_mean_self,
-    spmm_symnorm,
+    spmm,
     tensor,
 )
 from .graph import Graph
@@ -41,12 +41,13 @@ __all__ = [
     "plain_forward",
 ]
 
-BACKBONE_KINDS = ("gcn_symnorm", "gcn_rownorm", "sage_mean")
-
+# each backbone kind and the spmm operator its layers aggregate with
 _AGGREGATORS = {
-    "gcn_symnorm": spmm_symnorm,
-    "gcn_rownorm": spmm_mean_self,
+    "gcn_symnorm": "symnorm",
+    "gcn_rownorm": "mean_self",
+    "sage_mean": "mean_nbr",
 }
+BACKBONE_KINDS = tuple(_AGGREGATORS)
 
 
 @dataclass(frozen=True)
@@ -125,21 +126,22 @@ def layer_forward(
     """One aggregating layer over every edge of the graph.
 
     gcn kinds compute relu(aggregate(H) @ W); sage_mean computes
-    relu(H @ W + neighbor_mean(H) @ W_nbr).  Input dropout applies
-    only when a generator is supplied (training mode), always to all of
-    H.  With `rows`, increasing node indices, the layer computes those
+    relu(H @ W + aggregate(H) @ W_nbr), with aggregate the spmm operator
+    _AGGREGATORS names for the kind.  Input dropout applies only when a
+    generator is supplied (training mode), always to all of H.  With `rows`, increasing node indices, the layer computes those
     output rows alone, in that order.
     """
     if dropout_rng is not None and cfg.dropout > 0.0:
         h = dropout(h, cfg.dropout, dropout_rng)
+    operator = _AGGREGATORS[cfg.kind]
     if cfg.kind == "sage_mean":
         own = h if rows is None else row_gather(h, rows)
         out = add(
             matmul(own, layer_params["weight"]),
-            matmul(spmm_mean_nbr(graph, h, rows), layer_params["weight_nbr"]),
+            matmul(spmm(graph, h, operator, rows), layer_params["weight_nbr"]),
         )
     else:
-        out = matmul(_AGGREGATORS[cfg.kind](graph, h, rows), layer_params["weight"])
+        out = matmul(spmm(graph, h, operator, rows), layer_params["weight"])
     return relu(out) if activate else out
 
 

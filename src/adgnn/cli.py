@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         header, rows = execute(spec)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - boundary: report, don't crash

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backbones import BACKBONE_KINDS, BackboneConfig
+from .backbones import BackboneConfig
 from .csbm import (
     ClassStats,
     CsbmParams,
@@ -132,6 +132,10 @@ class ExperimentSpec:
         if not self.seeds:
             default = (0, 1, 2, 3, 4) if self.kind in _MULTI_SEED_KINDS else (0,)
             object.__setattr__(self, "seeds", default)
+        for s in self.seeds:
+            # bool subclasses int, and True must not run seed 1
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ValueError(f"seeds must be integers, got {s!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
@@ -207,8 +211,6 @@ def _model_config(cfg: dict, **overrides):
     name = merged["model"]
     if name not in _MODEL_NAMES:
         raise ValueError(f"model must be one of {_MODEL_NAMES}")
-    if merged["kind"] not in BACKBONE_KINDS:
-        raise ValueError(f"kind must be one of {BACKBONE_KINDS}")
     backbone = BackboneConfig(
         kind=merged["kind"],
         layers=_read(merged, "layers", int),
@@ -556,15 +558,13 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
     )
     _check_keys(spec.parameters, allowed, spec.kind)
     cfg = spec.parameters
-    names = _read(cfg, "heuristics", str, HEURISTIC_NAMES + ("degree",), many=True)
+    sources = HEURISTIC_NAMES + ("degree",)
+    names = _read(cfg, "heuristics", str, sources, many=True)
     if len(set(names)) != len(names):
         raise ValueError("heuristic list names a source twice")
     for name in names:
-        if name != "degree" and name not in HEURISTIC_NAMES:
-            raise ValueError(
-                f"unknown heuristic {name!r}; choose from "
-                f"{HEURISTIC_NAMES + ('degree',)}"
-            )
+        if name not in sources:
+            raise ValueError(f"unknown heuristic {name!r}; choose from {sources}")
     repeats = _read(cfg, "timing_repeats", int, 3)
     if repeats < 1:
         raise ValueError("config key 'timing_repeats' must be at least 1")

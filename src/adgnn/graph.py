@@ -53,7 +53,7 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """All undirected edges as an (num_edges, 2) array with u < v."""
-        src = np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
+        src = self.arc_sources()
         keep = src < self.csr_neighbors
         return np.stack([src[keep], self.csr_neighbors[keep]], axis=1)
 

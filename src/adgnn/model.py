@@ -53,8 +53,6 @@ __all__ = [
     "AdGnnConfig",
     "ForwardResult",
     "init_adgnn_params",
-    "similarity_head",
-    "threshold_function",
     "trunk_params",
     "pair_probability",
     "structural_scores",
@@ -223,18 +221,6 @@ def init_adgnn_params(
     return params
 
 
-def similarity_head(params: dict[str, Tensor]) -> SimilarityHead:
-    return SimilarityHead(params["head.w1"], params["head.w2"])
-
-
-def threshold_function(cfg: AdGnnConfig, params: dict[str, Tensor]) -> ThresholdFunction:
-    return ThresholdFunction(
-        cfg.lambda_weight,
-        params["threshold.slope_raw"],
-        params["threshold.intercept_raw"],
-    )
-
-
 def trunk_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """The dense/conv spine alone, runnable by backbones.plain_forward."""
     return {k: v for k, v in params.items() if k.startswith(("dense", "conv"))}
@@ -352,7 +338,8 @@ def _arc_probabilities(
         h_v = row_gather(h0, edges[:, 1])
         # the pair features are exactly symmetric, so an arc's score is the
         # score of its edge bit for bit
-        probs = pair_probability(similarity_head(params), h_u, h_v)
+        head = SimilarityHead(params["head.w1"], params["head.w2"])
+        probs = pair_probability(head, h_u, h_v)
         return row_gather(probs, graph.arc_edges)
     key = "degree" if cfg.variant == "fast_degree" else cfg.heuristic_name
     return tensor(structural_scores(graph, key).reshape(-1, 1))
@@ -500,7 +487,9 @@ def forward(
     deg = degrees(graph).astype(np.float64)
     scored = arc_probs if soft else tensor(arc_probs.values)
     eps = _soft_scores(scored, graph, deg, cfg.t_max)
-    tf = threshold_function(cfg, params)
+    tf = ThresholdFunction(
+        cfg.lambda_weight, params["threshold.slope_raw"], params["threshold.intercept_raw"]
+    )
     if soft:
         tau = _thresholds(tf, cfg.t_max)
         plan = assign_stopping_depths(eps.values[:, 0], tau.values)

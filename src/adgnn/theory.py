@@ -154,9 +154,13 @@ def _oracle_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _chunk_bounds(total: int, chunk: int):
-    for start in range(0, total, chunk):
-        yield start, min(start + chunk, total)
+def _trial_chunks(trials: int, degree: int, dim: int):
+    """(start, stop) of each chunk of trials an oracle draws at a time.
+    The chunk fixes the draw order (each chunk draws its centers, then its
+    neighbors), so changing this formula moves every oracle table."""
+    chunk = max(1, 4_000_000 // (max(degree, 1) * dim))
+    for start in range(0, trials, chunk):
+        yield start, min(start + chunk, trials)
 
 
 def _mean_and_scalar_var(samples: np.ndarray) -> tuple[np.ndarray, float]:
@@ -201,14 +205,11 @@ def mc_single_layer_stats(
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     rng = _oracle_rng(seed)
-    # The chunk fixes the draw order (each chunk draws its centers, then
-    # its neighbors), so changing this formula moves every oracle table.
-    chunk = max(1, 4_000_000 // (max(profile.degree, 1) * dim))
     means = []
     variances = []
     aggregated = np.empty((trials, dim))
     for own_label in (0, 1):
-        for a, b in _chunk_bounds(trials, chunk):
+        for a, b in _trial_chunks(trials, profile.degree, dim):
             # the sampler writes the centers into rows; the neighbor sum is
             # freed as soon as it has been added
             rows = aggregated[a:b]
@@ -262,13 +263,12 @@ def mc_layer_trajectory(
         noises[k] = 0.5 * (v0 + v1)
 
     record(0)
-    chunk = max(1, 4_000_000 // (max(profile.degree, 1) * dim))
     for k in range(1, n_layers + 1):
         next_pools = []
         for own_label in (0, 1):
             own, other = pools[own_label], pools[1 - own_label]
             out = np.empty((trials, dim))
-            for a, b in _chunk_bounds(trials, chunk):
+            for a, b in _trial_chunks(trials, profile.degree, dim):
                 rows = b - a
                 agg = own[rng.integers(0, trials, rows)]
                 if profile.d_plus:

@@ -94,6 +94,36 @@ class TestLayerForward:
         out = layer_forward(cfg, {"weight": tensor(np.eye(3))}, g, h)
         np.testing.assert_allclose(out.values, h.values)
 
+    @pytest.mark.parametrize("kind", ["gcn_symnorm", "gcn_rownorm", "sage_mean"])
+    def test_each_kind_aggregates_with_its_operator(self, kind):
+        # degrees 3, 2, 2, 2, 1 and 0 tell the three operators apart, which
+        # a gradcheck cannot: it passes with any operator
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]
+        g = build_graph(edges, 6)
+        adj = np.zeros((6, 6))
+        for u, v in edges:
+            adj[u, v] = adj[v, u] = 1.0
+        deg = adj.sum(axis=1)
+        with_self = adj + np.eye(6)
+        dense = {
+            "gcn_symnorm": with_self / np.sqrt(np.outer(deg + 1.0, deg + 1.0)),
+            "gcn_rownorm": with_self / (deg + 1.0)[:, None],
+            "sage_mean": adj / np.maximum(deg, 1.0)[:, None],
+        }[kind]
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((6, 4))
+        lp = {"weight": tensor(rng.standard_normal((4, 3)))}
+        if kind == "sage_mean":
+            lp["weight_nbr"] = tensor(rng.standard_normal((4, 3)))
+            expected = h @ lp["weight"].values + dense @ h @ lp["weight_nbr"].values
+        else:
+            expected = dense @ h @ lp["weight"].values
+        cfg = BackboneConfig(kind=kind, layers=1, hidden_dim=4)
+        for rows in (None, np.array([0, 4, 5])):
+            out = layer_forward(cfg, lp, g, tensor(h), activate=False, rows=rows)
+            want = expected if rows is None else expected[rows]
+            np.testing.assert_allclose(out.values, want, rtol=1e-12, atol=1e-12)
+
     def test_gradcheck_all_kinds(self):
         rng = np.random.default_rng(2)
         for kind in ("gcn_symnorm", "gcn_rownorm", "sage_mean"):

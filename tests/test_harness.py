@@ -157,6 +157,17 @@ class TestExperimentSpec:
         assert ExperimentSpec(kind="train_eval").seeds == (0,)
         assert ExperimentSpec(kind="train_eval", seeds=(7, 8)).seeds == (7, 8)
 
+    @pytest.mark.parametrize("seed", [1.7, True, "1", None],
+                             ids=["float", "bool", "string", "none"])
+    def test_seeds_must_be_integers(self, seed):
+        # int() used to turn 1.7 and True into seed 1
+        with pytest.raises(ValueError, match=f"seeds must be integers, got {seed!r}"):
+            ExperimentSpec(kind="train_eval", seeds=(0, seed))
+
+    def test_numpy_integer_seeds_accepted(self):
+        spec = ExperimentSpec(kind="train_eval", seeds=tuple(np.arange(2, 4)))
+        assert spec.seeds == (2, 3) and all(type(s) is int for s in spec.seeds)
+
 
 class TestGenerate:
     def test_writes_container_and_round_trips(self, tmp_path):
@@ -553,6 +564,19 @@ class TestCli:
         assert main(["theory-validate", "--config", str(cfg)]) == 2
         assert "dim must be at least 1" in capsys.readouterr().err
 
+    def test_key_error_in_a_driver_is_a_runtime_failure(
+            self, tmp_path, capsys, monkeypatch):
+        # no config key is read by indexing, so a KeyError is a program
+        # fault, not a bad config
+        def broken(*args, **kwargs):
+            raise KeyError("conv1.weight")
+
+        monkeypatch.setattr(drivers, "train_model", broken)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(TINY))
+        assert main(["train-eval", "--config", str(cfg)]) == 1
+        assert "runtime failure: 'conv1.weight'" in capsys.readouterr().err
+
     def test_missing_config_names_path(self, capsys):
         assert main(["train-eval", "--config", "/does/not/exist.json"]) == 2
         assert "/does/not/exist.json" in capsys.readouterr().err
@@ -653,6 +677,14 @@ class TestCli:
         cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
         assert main([command, "--config", str(cfg), "--seeds", "0"]) == 2
         assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["plain", "learned"])
+    def test_unknown_backbone_kind_exits_2(self, tmp_path, capsys, model):
+        # BackboneConfig is the one check on the kind
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "model": model, "kind": "gat"}))
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        assert "kind must be one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, message",

@@ -46,8 +46,6 @@ README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_tex
 TEST_ONLY_EXPORTS = {
     "model.trunk_params": "the reference extraction that the full-depth "
                           "reduction tests compare against",
-    "autodiff.set_debug": "the NaN trap that test_debug_mode_traps_nonfinite "
-                          "turns on",
 }
 
 

@@ -40,7 +40,6 @@ from adgnn.model import (
     minmax_normalize,
     pair_probability,
     regularization_loss,
-    threshold_function,
     threshold_values,
     total_loss,
     trunk_params,
@@ -80,9 +79,19 @@ def pair_loss_on_arcs(res, graph, labels):
     return regularization_loss(res.arc_probs, arcs, labels[src[arcs]] == labels[dst[arcs]])
 
 
+def head_of(params):
+    return SimilarityHead(params["head.w1"], params["head.w2"])
+
+
+def thresholds_of(cfg, params, t_max):
+    tf = ThresholdFunction(cfg.lambda_weight, params["threshold.slope_raw"],
+                           params["threshold.intercept_raw"])
+    return threshold_values(tf, t_max)
+
+
 def direct_pair_loss(params, h0, edges, labels):
     """The pair loss as a head call of its own on the edge rows."""
-    probs = pair_probability(mod.similarity_head(params),
+    probs = pair_probability(head_of(params),
                              row_gather(h0, edges[:, 0]), row_gather(h0, edges[:, 1]))
     return binary_cross_entropy(probs, labels[edges[:, 0]] == labels[edges[:, 1]])
 
@@ -521,7 +530,7 @@ class TestForwardSemantics:
         d_plus, d_minus = expected_label_counts(g, probs)
         alpha = estimated_alpha(d_plus, d_minus, degrees(g))
         eps = minmax_normalize(log_benefit_scores(alpha, degrees(g), 4))
-        tau = threshold_values(threshold_function(cfg, params), 4)
+        tau = thresholds_of(cfg, params, 4)
         manual = assign_stopping_depths(eps, tau)
         np.testing.assert_array_equal(res.plan.stopping_depth, manual.stopping_depth)
         np.testing.assert_array_equal(res.plan.normalized_scores, eps)
@@ -570,7 +579,7 @@ class TestSoftGating:
             gating="soft", temperature=1e-4,
         )
         soft = forward(soft_cfg, params, g, x)
-        tau = threshold_values(threshold_function(hard_cfg, params), 4)
+        tau = thresholds_of(hard_cfg, params, 4)
         margin = np.abs(
             hard.plan.normalized_scores[:, None] - tau[None, :]
         ).min(axis=1)
@@ -721,7 +730,7 @@ class TestSoftGating:
             x_vals = rng.uniform(0.5, 1.5, (n, 3))
             x = tensor(x_vals)
             probe = forward(cfg, params, g, x)
-            tau = threshold_values(threshold_function(cfg, params), 2)
+            tau = thresholds_of(cfg, params, 2)
             margin = np.abs(
                 probe.plan.normalized_scores[:, None] - tau[None, :]
             ).min()
@@ -856,7 +865,7 @@ class TestEdgeScoring:
             res = forward(dataclasses.replace(cfg, gating=gating), params, g, x)
             h0 = embed(cfg, params, x).values
             per_arc = pair_probability(
-                mod.similarity_head(params),
+                head_of(params),
                 tensor(h0[g.arc_sources()]), tensor(h0[g.csr_neighbors]),
             )
             np.testing.assert_array_equal(res.arc_probs.values, per_arc.values)
