@@ -46,7 +46,6 @@ params = CsbmParams(n0=1000, n1=1000, mu0=mu0, mu1=mu1, sigma=1.0,
 data = sample_graph(params, seed=0)
 split = make_split(data[0].num_nodes, seed=0)
 cfg = AdGnnConfig(
-    t_max=32,
     backbone=BackboneConfig(kind="gcn_rownorm", layers=32, hidden_dim=16),
     variant="learned",
     gating="soft",

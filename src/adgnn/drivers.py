@@ -220,7 +220,6 @@ def _model_config(cfg: dict, **overrides):
     if name == "plain":
         return backbone
     model = AdGnnConfig(
-        t_max=backbone.layers,
         backbone=backbone,
         lambda_weight=_read(merged, "lambda", float),
         variant=name,

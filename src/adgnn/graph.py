@@ -48,9 +48,6 @@ class Graph:
         self.csr_offsets.flags.writeable = False
         self.csr_neighbors.flags.writeable = False
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.csr_neighbors[self.csr_offsets[v] : self.csr_offsets[v + 1]]
-
     def edges(self) -> np.ndarray:
         """All undirected edges as an (num_edges, 2) array with u < v."""
         src = self.arc_sources()

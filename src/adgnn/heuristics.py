@@ -117,37 +117,21 @@ def betweenness_centrality(graph: Graph) -> np.ndarray:
 
 
 def core_numbers(graph: Graph) -> np.ndarray:
-    """K-core number per node via peeling in increasing degree order."""
-    n = graph.num_nodes
-    deg = degrees(graph).copy()
-    core = np.zeros(n, dtype=np.int64)
-    order = np.argsort(deg, kind="stable")
-    position = np.argsort(order, kind="stable")
-    # bucket starts for O(n + m) repositioning
-    bins = np.zeros(deg.max() + 2 if n else 1, dtype=np.int64)
-    for d in deg:
-        bins[d + 1] += 1
-    bins = np.cumsum(bins)
-    bin_start = bins[:-1].copy()
-    order = list(order)
-    removed = np.zeros(n, dtype=bool)
-    for i in range(n):
-        v = order[i]
-        core[v] = deg[v]
-        removed[v] = True
-        for u in graph.neighbors(v):
-            if removed[u] or deg[u] <= deg[v]:
-                continue
-            # swap u to the front of its degree bucket, then shrink it
-            du = deg[u]
-            pu = position[u]
-            pw = bin_start[du]
-            w = order[pw]
-            if u != w:
-                order[pu], order[pw] = w, u
-                position[u], position[w] = pw, pu
-            bin_start[du] += 1
-            deg[u] -= 1
+    """K-core number per node by peeling in rounds: every live node of
+    degree at most k leaves together with core number k, one sparse
+    product takes its arcs off its neighbors' degrees, and k rises to the
+    least live degree when no live node is left at or below it."""
+    adj = adjacency(graph)
+    deg = degrees(graph)
+    core = np.zeros(graph.num_nodes, dtype=np.int64)
+    live = np.ones(graph.num_nodes, dtype=bool)
+    k = 0
+    while live.any():
+        k = max(k, deg[live].min())
+        peel = live & (deg <= k)
+        core[peel] = k
+        live &= ~peel
+        deg = deg - (adj @ peel.astype(np.float64)).astype(np.int64)
     return core
 
 

@@ -10,7 +10,8 @@ a node whose budget is spent keeps its embedding frozen, while active
 neighbors keep reading that frozen row.  Hard gating selects rows
 exactly, and a hard-gated layer with at most half its rows active
 computes only those rows; soft gating blends through a temperature
-sigmoid so the scoring parameters receive gradients.  The learned head
+sigmoid so the scoring parameters receive gradients; the caller picks
+the mode by passing a temperature or none.  The learned head
 is symmetric, so it scores each undirected edge once and both arcs of
 the edge read that score.  It runs once per forward, and its pair loss
 trains it on exactly the arc scores the plan cuts.
@@ -57,16 +58,11 @@ __all__ = [
     "pair_probability",
     "structural_scores",
     "expected_label_counts",
-    "estimated_alpha",
-    "log_benefit_scores",
-    "minmax_normalize",
     "threshold_values",
     "assign_stopping_depths",
     "forward",
     "regularization_loss",
     "total_loss",
-    "degree_similarity",
-    "heuristic_similarity",
 ]
 
 VARIANTS = ("learned", "fast_degree", "heuristic")
@@ -134,6 +130,8 @@ class DepthPlan:
         scores = np.asarray(self.normalized_scores)
         if depth.shape != scores.shape or depth.ndim != 1:
             raise ValueError("per-node depth and score vectors must align")
+        if not np.issubdtype(depth.dtype, np.integer):
+            raise ValueError(f"stopping depths must be integers, got {depth.dtype}")
         if depth.size and (depth.min() < 0 or depth.max() > self.t_max):
             raise ValueError("stopping depths must lie in [0, t_max]")
 
@@ -153,7 +151,11 @@ class DepthPlan:
 
 @dataclass(frozen=True)
 class AdGnnConfig:
-    t_max: int
+    """The adaptive model: its backbone trunk, one conv per allowable depth
+    (t_max is the backbone's layer count), and how it scores depth.
+    `gating` and `temperature` are the training recipe that fit_model
+    reads; forward gates soft only at a temperature its caller passes."""
+
     backbone: BackboneConfig
     lambda_weight: float = 0.0
     variant: str = "learned"
@@ -162,12 +164,11 @@ class AdGnnConfig:
     temperature: float = 0.1
     head_hidden: int = 16
 
+    @property
+    def t_max(self) -> int:
+        return self.backbone.layers
+
     def __post_init__(self) -> None:
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
-        if self.backbone.layers != self.t_max:
-            raise ValueError("backbone.layers must equal t_max; the trunk is "
-                             "one conv per allowable depth")
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ValueError("lambda_weight must lie in [0, 1]")
         if self.variant not in VARIANTS:
@@ -459,29 +460,33 @@ def forward(
     x: Tensor,
     dropout_rng: np.random.Generator | None = None,
     depth_override: np.ndarray | None = None,
+    temperature: float | None = None,
 ) -> ForwardResult:
     """Full gated pass: embed, score, plan, t_max gated convs, classify.
 
     Stopped nodes keep frozen rows that active neighbors continue to read,
     so an active node always aggregates its entire neighborhood at full
     normalization; filtering decides who receives fresh messages, not what
-    they read.  depth_override forces the plan (hard gating only).
+    they read.  The gates are soft at `temperature` and hard when it is
+    None.  depth_override forces the plan (hard gating only).
 
     The head runs once, with its real weights, and its arc scores are
     returned for the pair loss.  Soft gating differentiates the depth
     scores through them; hard gating reads them as constants, so the
-    score node stays off the tape.
+    score and threshold nodes stay off the tape.
     """
     if x.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match node count")
-    if depth_override is not None and cfg.gating == "soft":
+    soft = temperature is not None
+    if soft and not (np.isfinite(temperature) and temperature > 0.0):
+        raise ValueError("temperature must be finite and positive")
+    if depth_override is not None and soft:
         raise ValueError("forced depth plans run hard gating")
 
     bb = cfg.backbone
     h0 = dense_forward(
         bb, {"weight": params["dense0.weight"]}, x, True, dropout_rng
     )
-    soft = cfg.gating == "soft"
     arc_probs = _arc_probabilities(cfg, params, graph, h0)
 
     deg = degrees(graph).astype(np.float64)
@@ -490,17 +495,11 @@ def forward(
     tf = ThresholdFunction(
         cfg.lambda_weight, params["threshold.slope_raw"], params["threshold.intercept_raw"]
     )
-    if soft:
-        tau = _thresholds(tf, cfg.t_max)
-        plan = assign_stopping_depths(eps.values[:, 0], tau.values)
-    elif depth_override is not None:
-        plan = DepthPlan(
-            np.asarray(depth_override, dtype=np.int64), eps.values[:, 0], cfg.t_max
-        )
-    else:
-        plan = assign_stopping_depths(
-            eps.values[:, 0], threshold_values(tf, cfg.t_max)
-        )
+    tau = _thresholds(tf, cfg.t_max) if soft else tensor(threshold_values(tf, cfg.t_max))
+    plan = (
+        assign_stopping_depths(eps.values[:, 0], tau.values) if depth_override is None
+        else DepthPlan(np.asarray(depth_override), eps.values[:, 0], cfg.t_max)
+    )
 
     h = h0
     for t in range(1, cfg.t_max + 1):
@@ -509,7 +508,7 @@ def forward(
             layer["weight_nbr"] = params[f"conv{t}.weight_nbr"]
         if soft:
             update = layer_forward(bb, layer, graph, h, True, dropout_rng)
-            h = _soft_gate(eps, tau, t, cfg.temperature, update, h)
+            h = _soft_gate(eps, tau, t, temperature, update, h)
             continue
         active = plan.active_nodes(t)
         rows = _sliced_rows(active)

@@ -8,7 +8,6 @@ population standard deviation across seeds.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .backbones import BackboneConfig, init_params, plain_forward
 from .graph import Graph, LabelVector, SplitMask
 from .model import (
     AdGnnConfig,
+    DepthPlan,
     ForwardResult,
     forward,
     init_adgnn_params,
@@ -138,27 +138,25 @@ def accuracy(logits, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((pred == np.asarray(labels)[mask]).mean())
 
 
-def _forward(cfg, params, graph, x, rng, depth_override) -> ForwardResult:
+def _forward(cfg, params, graph, x, rng, depth_override, temperature) -> ForwardResult:
     """One pass of the model `cfg` builds; a plain backbone's result has no
-    plan and no arc scores.  rng None is the evaluation pass: no dropout,
-    and an adaptive model gates hard."""
+    plan and no arc scores.  rng None is the evaluation pass: no dropout.
+    An adaptive model gates soft at `temperature` and hard when it is None."""
     if isinstance(cfg, BackboneConfig):
         logits = plain_forward(cfg, params, graph, x, dropout_rng=rng)
         return ForwardResult(logits, None, None)
-    if rng is None:
-        cfg = dataclasses.replace(cfg, gating="hard")
     return forward(cfg, params, graph, x, dropout_rng=rng,
-                   depth_override=depth_override)
+                   depth_override=depth_override, temperature=temperature)
 
 
 def _decay_weights(params: dict[str, Tensor], lr: float, wd: float) -> None:
-    # decoupled decay, applied to weight matrices before the Adam update;
-    # the threshold scalars are left alone
+    # decoupled decay of every parameter given, applied before the Adam
+    # update; fit_model passes the trunk, so the threshold scalars are
+    # left alone
     if wd == 0.0:
         return
-    for name, p in params.items():
-        if not name.startswith("threshold."):
-            p.values *= 1.0 - lr * wd
+    for p in params.values():
+        p.values *= 1.0 - lr * wd
 
 
 def fit_model(
@@ -176,14 +174,23 @@ def fit_model(
     come from the selected epoch's own evaluation pass.  That pass has no
     dropout and gates hard, so it is what the snapshot gives again: no
     forward runs after the epoch loop.  A depth override is a plan for
-    the adaptive model; a plain backbone rejects it."""
+    the hard-gated adaptive model; a plain backbone or soft gating rejects
+    it, and so does a plan that is not one integer depth in [0, t_max]
+    per node, before any epoch runs."""
     graph, features, labels = data
     x = tensor(np.asarray(features, dtype=np.float64))
     y = labels.labels
     adaptive = isinstance(cfg, AdGnnConfig)
-    if depth_override is not None and not adaptive:
-        raise ValueError("depth_override needs an adaptive model; a plain "
-                         "backbone has no depth plan")
+    soft = adaptive and cfg.gating == "soft"
+    if depth_override is not None:
+        if not adaptive:
+            raise ValueError("depth_override needs an adaptive model; a plain "
+                             "backbone has no depth plan")
+        if soft:
+            raise ValueError("forced depth plans run hard gating")
+        # the plan every forward builds from the override, checked once
+        # before any epoch runs
+        DepthPlan(np.asarray(depth_override), np.zeros(graph.num_nodes), cfg.t_max)
     init = init_adgnn_params if adaptive else init_params
     params = init(cfg, x.shape[1], labels.num_classes, seed)
     policy = {n: p for n, p in params.items() if n.startswith("threshold.")}
@@ -207,19 +214,14 @@ def fit_model(
     best_out: ForwardResult | None = None
     history: list[float] = []
     for epoch in range(tc.epochs):
-        epoch_cfg = cfg
-        if adaptive and cfg.gating == "soft":
-            if epoch < _GATE_WARMUP_EPOCHS:
-                epoch_cfg = dataclasses.replace(cfg, gating="hard")
-            else:
-                epoch_cfg = dataclasses.replace(
-                    cfg,
-                    temperature=annealed_temperature(
-                        cfg.temperature, epoch - _GATE_WARMUP_EPOCHS
-                    ),
-                )
+        # soft gates open after the hard warm-up and anneal from there;
+        # evaluation always gates hard
+        temperature = (
+            annealed_temperature(cfg.temperature, epoch - _GATE_WARMUP_EPOCHS)
+            if soft and epoch >= _GATE_WARMUP_EPOCHS else None
+        )
         with Tape() as tape:
-            out = _forward(epoch_cfg, params, graph, x, rng, depth_override)
+            out = _forward(cfg, params, graph, x, rng, depth_override, temperature)
             loss = softmax_cross_entropy(out.logits, y, split.train)
             if needs_reg:
                 reg = regularization_loss(out.arc_probs, pair_arcs, same_label)
@@ -234,12 +236,12 @@ def fit_model(
         named_grads = {
             name: leaf_grads[p] for name, p in params.items() if p in leaf_grads
         }
-        _decay_weights(params, tc.lr, tc.weight_decay)
+        _decay_weights(trunk, tc.lr, tc.weight_decay)
         adam_step(trunk, named_grads, state)
         if policy_state is not None:
             adam_step(policy, named_grads, policy_state)
 
-        val_out = _forward(cfg, params, graph, x, None, depth_override)
+        val_out = _forward(cfg, params, graph, x, None, depth_override, None)
         val_acc = accuracy(val_out.logits, y, split.val)
         history.append(val_acc)
         if val_acc > best_val:

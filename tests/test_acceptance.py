@@ -23,18 +23,19 @@ from adgnn.model import (
     ThresholdFunction,
     VARIANTS,
     assign_stopping_depths,
-    estimated_alpha,
     expected_label_counts,
     forward,
     init_adgnn_params,
-    minmax_normalize,
     pair_probability,
     threshold_values,
     trunk_params,
 )
 from adgnn.theory import (
     estimate_calibration_factors,
+    estimated_alpha,
+    log_benefit_scores,
     mc_layer_trajectory,
+    minmax_normalize,
     multi_layer_stats,
     signal_preservation_factor,
 )
@@ -225,9 +226,7 @@ def test_08_full_depth_reduction():
             hidden_dim=int(rng.integers(3, 6)), dropout=0.0,
         )
         # instances 0-8 pair each kind with each variant
-        cfg = AdGnnConfig(
-            t_max=t_max, backbone=bb, variant=VARIANTS[i // 3 % 3], gating="hard"
-        )
+        cfg = AdGnnConfig(backbone=bb, variant=VARIANTS[i // 3 % 3], gating="hard")
         in_dim = int(rng.integers(2, 6))
         classes = int(rng.integers(2, 5))
         params = init_adgnn_params(cfg, in_dim, classes, seed=3000 + i)
@@ -305,8 +304,7 @@ def _gradcheck_soft_gates():
     rng = np.random.default_rng(93)
     bb = BackboneConfig(kind="gcn_rownorm", layers=2, hidden_dim=3, dropout=0.0)
     cfg = AdGnnConfig(
-        t_max=2, backbone=bb, variant="learned", gating="soft",
-        temperature=0.3, lambda_weight=0.1, head_hidden=4,
+        backbone=bb, variant="learned", lambda_weight=0.1, head_hidden=4,
     )
     worst, checked = 0.0, 0
     while checked < 20:
@@ -329,8 +327,6 @@ def _gradcheck_soft_gates():
         probs = 1.0 / (1.0 + np.exp(-logit))
         d_plus = np.bincount(src, weights=probs.reshape(-1), minlength=n)
         alpha = estimated_alpha(d_plus, degrees(graph) - d_plus, degrees(graph))
-        from adgnn.model import log_benefit_scores
-
         scores = np.sort(log_benefit_scores(alpha, degrees(graph), 2))
         if scores[1] - scores[0] < 1e-2 or scores[-1] - scores[-2] < 1e-2:
             continue
@@ -339,7 +335,7 @@ def _gradcheck_soft_gates():
         leaves = list(params.values())
 
         def build():
-            res = forward(cfg, params, graph, x)
+            res = forward(cfg, params, graph, x, temperature=0.3)
             return softmax_cross_entropy(res.logits, labels, np.ones(n, bool))
 
         worst = max(worst, check_gradients(build, leaves))
@@ -437,8 +433,7 @@ def test_10_structural_invariants():
         graph = _random_graph(rng3, n, 2 * n)
         bb = BackboneConfig(kind="gcn_rownorm", layers=t_max, hidden_dim=3,
                             dropout=0.0)
-        cfg = AdGnnConfig(t_max=t_max, backbone=bb, variant="fast_degree",
-                          gating="hard")
+        cfg = AdGnnConfig(backbone=bb, variant="fast_degree", gating="hard")
         params = init_adgnn_params(cfg, 3, 2, seed=5000 + case)
         x = tensor(rng3.standard_normal((n, 3)))
         override = rng3.integers(0, t_max + 1, size=n)

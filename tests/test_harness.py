@@ -349,7 +349,7 @@ class TestSweepDegreeThreshold:
         tc = TrainConfig(epochs=10, lr=0.01)
         bb = BackboneConfig(kind="gcn_symnorm", layers=2, hidden_dim=8,
                             dropout=0.0)
-        cfg = AdGnnConfig(t_max=2, backbone=bb, variant="fast_degree",
+        cfg = AdGnnConfig(backbone=bb, variant="fast_degree",
                           gating="hard")
         accs = []
         for s in (0, 1):
@@ -848,6 +848,15 @@ class TestBenchmarkTraceTargets:
         spec.loader.exec_module(tracing)
         return tracing
 
+    @pytest.fixture
+    def modules(self):
+        from adgnn import backbones, csbm, theory, train
+        import adgnn.cli
+
+        return {"cli": adgnn.cli, "drivers": drivers, "train": train,
+                "model": model, "backbones": backbones, "csbm": csbm,
+                "theory": theory}
+
     def test_every_traced_global_resolves(self, tracing):
         # perfbench/tracing.py rebinds these module globals for --trace 1
         # runs; a refactor that drops one crashes every traced benchmark run
@@ -870,24 +879,19 @@ class TestBenchmarkTraceTargets:
 
             monkeypatch.setattr(model, name, spy)
         graph, features, _ = small_csbm()
-        cfg = AdGnnConfig(t_max=2, backbone=BackboneConfig(layers=2, hidden_dim=8))
+        cfg = AdGnnConfig(backbone=BackboneConfig(layers=2, hidden_dim=8))
         params = model.init_adgnn_params(cfg, features.shape[1], 2, seed=0)
         model.forward(cfg, params, graph, tensor(features))
         assert sorted(set(tracing._PLAN_FUNCTIONS) - called) == []
 
-    def test_traced_fit_model_keeps_the_benchmark_contract(self, tracing):
+    def test_traced_fit_model_keeps_the_benchmark_contract(self, tracing, modules):
         # the benchmark's work_per_s reads len(out[0].val_history) from
         # fit_model's return, and its forward spans tell training from
         # evaluation by the dropout generator: one of each per epoch
-        from adgnn import backbones, csbm, theory, train
-        import adgnn.cli
-
-        modules = {"cli": adgnn.cli, "drivers": drivers, "train": train,
-                   "model": model, "backbones": backbones, "csbm": csbm,
-                   "theory": theory}
+        train = modules["train"]
         data = small_csbm()
         split = make_split(80, seed=0)
-        cfg = AdGnnConfig(t_max=2, backbone=BackboneConfig(layers=2, hidden_dim=8))
+        cfg = AdGnnConfig(backbone=BackboneConfig(layers=2, hidden_dim=8))
         tracer = tracing.Tracer()
         with tracing.installed(tracer, modules, full=True):
             result, best = train.fit_model(cfg, data, split,
@@ -899,3 +903,20 @@ class TestBenchmarkTraceTargets:
         assert names.count("model.forward.val") == 3
         fit = tracer.spans[names.index("train.fit_model")]
         assert fit.attrs["epochs"] == len(result.val_history) == 3
+
+    def test_untraced_cli_run_records_one_fit_span_per_seed(
+        self, tracing, modules, tmp_path
+    ):
+        # the untraced benchmark times the train.fit_model global alone and
+        # reads work_per_s off its spans' epochs; a driver that reached
+        # fit_model through another binding would record no span, and
+        # work_per_s would read 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "learned", "n0": 40, "n1": 40,
+                                      "hidden": 8, "epochs": 3}))
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer, modules, full=False):
+            assert main(["train-eval", "--config", str(config), "--seeds", "0,1",
+                         "--out", str(tmp_path / "table.csv")]) == 0
+        fits = [s for s in tracer.spans if s.name == "train.fit_model"]
+        assert [s.attrs["epochs"] for s in fits] == [3, 3]

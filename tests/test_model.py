@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -32,19 +31,23 @@ from adgnn.model import (
     SimilarityHead,
     ThresholdFunction,
     assign_stopping_depths,
-    estimated_alpha,
     expected_label_counts,
     forward,
     init_adgnn_params,
-    log_benefit_scores,
-    minmax_normalize,
     pair_probability,
     regularization_loss,
     threshold_values,
     total_loss,
     trunk_params,
 )
-from adgnn.theory import _ALPHA_FLOOR, signal_preservation_factor
+from adgnn.heuristics import degree_similarity
+from adgnn.theory import (
+    _ALPHA_FLOOR,
+    estimated_alpha,
+    log_benefit_scores,
+    minmax_normalize,
+    signal_preservation_factor,
+)
 from adgnn.train import TrainConfig, fit_model
 from gradcheck import REL_TOL, check_gradients, weighted_mean
 
@@ -63,7 +66,11 @@ def backbone(t_max, hidden=4, kind="gcn_rownorm"):
 
 def config(t_max=3, hidden=4, **kw):
     kw.setdefault("backbone", backbone(t_max, hidden, kw.pop("kind", "gcn_rownorm")))
-    return AdGnnConfig(t_max=t_max, **kw)
+    return AdGnnConfig(**kw)
+
+
+# the temperature a forward gates at, by gating mode: None gates hard
+GATE_TEMPERATURE = {"hard": None, "soft": 0.1}
 
 
 def embed(cfg, params, x):
@@ -376,8 +383,11 @@ class TestStoppingDepths:
 
 
 class TestConfig:
-    def test_layer_count_must_match(self):
-        with pytest.raises(ValueError):
+    def test_t_max_is_the_backbone_layer_count(self):
+        # one conv per allowable depth, so t_max is read off the backbone
+        # and cannot be set apart from it
+        assert config(t_max=3).t_max == 3
+        with pytest.raises(TypeError):
             AdGnnConfig(t_max=3, backbone=backbone(2))
 
     def test_field_validation(self):
@@ -526,7 +536,7 @@ class TestForwardSemantics:
         params = init_adgnn_params(cfg, 6, 2, seed=4)
         x = tensor(rng.standard_normal((15, 6)))
         res = forward(cfg, params, g, x)
-        probs = mod.degree_similarity(g)
+        probs = degree_similarity(g)
         d_plus, d_minus = expected_label_counts(g, probs)
         alpha = estimated_alpha(d_plus, d_minus, degrees(g))
         eps = minmax_normalize(log_benefit_scores(alpha, degrees(g), 4))
@@ -546,12 +556,14 @@ class TestForwardSemantics:
         params = init_adgnn_params(cfg, 4, 2, seed=0)
         with pytest.raises(ValueError):
             forward(cfg, params, g, tensor(np.zeros((5, 4))))
-        soft_cfg = config(t_max=2, gating="soft")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hard gating"):
             forward(
-                soft_cfg, params, g, tensor(np.zeros((6, 4))),
-                depth_override=np.zeros(6, dtype=int),
+                cfg, params, g, tensor(np.zeros((6, 4))),
+                depth_override=np.zeros(6, dtype=int), temperature=0.1,
             )
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature"):
+                forward(cfg, params, g, tensor(np.zeros((6, 4))), temperature=bad)
 
     def test_heuristic_variant_runs(self):
         rng = np.random.default_rng(21)
@@ -570,16 +582,12 @@ class TestSoftGating:
         # at temperature 1e-4 that saturates each gate to an exact 0 or 1
         rng = np.random.default_rng(78)
         g = random_graph(rng, 30, 90)
-        hard_cfg = config(t_max=4, hidden=8, variant="fast_degree", lambda_weight=0.2)
-        params = init_adgnn_params(hard_cfg, 6, 2, seed=6)
+        cfg = config(t_max=4, hidden=8, variant="fast_degree", lambda_weight=0.2)
+        params = init_adgnn_params(cfg, 6, 2, seed=6)
         x = tensor(rng.standard_normal((30, 6)))
-        hard = forward(hard_cfg, params, g, x)
-        soft_cfg = config(
-            t_max=4, hidden=8, variant="fast_degree", lambda_weight=0.2,
-            gating="soft", temperature=1e-4,
-        )
-        soft = forward(soft_cfg, params, g, x)
-        tau = thresholds_of(hard_cfg, params, 4)
+        hard = forward(cfg, params, g, x)
+        soft = forward(cfg, params, g, x, temperature=1e-4)
+        tau = thresholds_of(cfg, params, 4)
         margin = np.abs(
             hard.plan.normalized_scores[:, None] - tau[None, :]
         ).min(axis=1)
@@ -595,8 +603,7 @@ class TestSoftGating:
         # min/max score gaps
         rng = np.random.default_rng(23)
         cfg = config(
-            t_max=2, hidden=3, gating="soft", temperature=0.3,
-            lambda_weight=0.1, head_hidden=4,
+            t_max=2, hidden=3, lambda_weight=0.1, head_hidden=4,
         )
         checked = 0
         while checked < 20:
@@ -625,7 +632,7 @@ class TestSoftGating:
             leaves = list(params.values())
 
             def build():
-                res = forward(cfg, params, g, x)
+                res = forward(cfg, params, g, x, temperature=0.3)
                 return softmax_cross_entropy(res.logits, labels, np.ones(n, bool))
 
             assert check_gradients(build, leaves) < REL_TOL
@@ -636,8 +643,8 @@ class TestSoftGating:
         # threshold terms meet in the two raw curve parameters
         rng = np.random.default_rng(25)
         cfg = config(
-            t_max=3, hidden=3, kind="sage_mean", gating="soft",
-            temperature=0.3, lambda_weight=0.2, head_hidden=4,
+            t_max=3, hidden=3, kind="sage_mean", lambda_weight=0.2,
+            head_hidden=4,
         )
         checked = 0
         while checked < 10:
@@ -666,7 +673,7 @@ class TestSoftGating:
             leaves = list(params.values())
 
             def build():
-                res = forward(cfg, params, g, x)
+                res = forward(cfg, params, g, x, temperature=0.3)
                 return softmax_cross_entropy(res.logits, labels, np.ones(n, bool))
 
             assert check_gradients(build, leaves) < REL_TOL
@@ -685,9 +692,9 @@ class TestSoftGating:
         params = init_adgnn_params(cfg, 3, 2, seed=1)
         x = tensor(rng.standard_normal((20, 3)))
         lengths = {}
-        for gating in ("hard", "soft"):
+        for gating, temperature in GATE_TEMPERATURE.items():
             with Tape() as tape:
-                forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+                forward(cfg, params, g, x, temperature=temperature)
             lengths[gating] = len(tape)
         assert lengths["soft"] == lengths["hard"] + 2
 
@@ -779,7 +786,7 @@ class TestHardRowSlices:
         rng = np.random.default_rng(seed)
         g = random_graph(rng, 12, 30)
         bb = BackboneConfig(kind=kind, layers=6, hidden_dim=4, dropout=dropout)
-        cfg = AdGnnConfig(t_max=6, backbone=bb)
+        cfg = AdGnnConfig(backbone=bb)
         params = init_adgnn_params(cfg, 3, 2, seed=int(rng.integers(1 << 30)))
         x = tensor(rng.standard_normal((12, 3)))
         labels = rng.integers(0, 2, size=12)
@@ -862,7 +869,7 @@ class TestEdgeScoring:
     def test_arc_probs_equal_scoring_each_arc(self, gating):
         for seed in range(5):
             cfg, params, g, x = self.setup_case(seed)
-            res = forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+            res = forward(cfg, params, g, x, temperature=GATE_TEMPERATURE[gating])
             h0 = embed(cfg, params, x).values
             per_arc = pair_probability(
                 head_of(params),
@@ -879,8 +886,8 @@ class TestEdgeScoring:
             return pair_probability(head, h_u, h_v)
 
         monkeypatch.setattr(mod, "pair_probability", spy)
-        for gating in ("hard", "soft"):
-            forward(dataclasses.replace(cfg, gating=gating), params, g, x)
+        for temperature in GATE_TEMPERATURE.values():
+            forward(cfg, params, g, x, temperature=temperature)
         assert rows == [g.num_edges, g.num_edges]
 
     def test_arc_edge_index_built_once_per_graph(self, monkeypatch):
@@ -896,7 +903,7 @@ class TestEdgeScoring:
         cached.__set_name__(Graph, "arc_edges")
         monkeypatch.setattr(Graph, "arc_edges", cached)
         forward(cfg, params, g, x)
-        forward(dataclasses.replace(cfg, gating="soft"), params, g, x)
+        forward(cfg, params, g, x, temperature=0.1)
         assert built == [g]
         other = build_graph(g.edges(), g.num_nodes)
         forward(cfg, params, other, x)
@@ -1016,12 +1023,11 @@ class TestOneScorePath:
 
     @staticmethod
     def check_soft_equals_plan(cfg, params, g, x):
-        soft_cfg = dataclasses.replace(cfg, gating="soft")
-        res = forward(soft_cfg, params, g, x)
+        res = forward(cfg, params, g, x, temperature=0.1)
         deg = degrees(g).astype(np.float64)
         soft = mod._soft_scores(res.arc_probs, g, deg, cfg.t_max).values.reshape(-1)
         np.testing.assert_array_equal(soft, res.plan.normalized_scores)
-        hard = forward(dataclasses.replace(cfg, gating="hard"), params, g, x)
+        hard = forward(cfg, params, g, x)
         np.testing.assert_array_equal(soft, hard.plan.normalized_scores)
         d_plus, d_minus = expected_label_counts(g, res.arc_probs.values)
         alpha = estimated_alpha(d_plus, d_minus, deg)
@@ -1097,21 +1103,20 @@ class TestOneScorePath:
         rng = np.random.default_rng(41)
         g = build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)], 6)
         cfg = config(
-            t_max=2, hidden=3, gating="soft", temperature=0.3,
-            lambda_weight=0.1, variant="heuristic",
+            t_max=2, hidden=3, lambda_weight=0.1, variant="heuristic",
         )
         params = init_adgnn_params(cfg, 3, 2, seed=5)
         for k, t in params.items():
             if k.startswith(("dense", "conv")):
                 t.values[:] = rng.uniform(0.5, 1.5, t.shape)
         x = tensor(rng.uniform(0.5, 1.5, (6, 3)))
-        scores = forward(cfg, params, g, x).plan.normalized_scores
+        scores = forward(cfg, params, g, x, temperature=0.3).plan.normalized_scores
         assert scores[5] == 0.0 and scores.max() == 1.0
         labels = rng.integers(0, 2, size=6)
         leaves = list(params.values())
 
         def build():
-            res = forward(cfg, params, g, x)
+            res = forward(cfg, params, g, x, temperature=0.3)
             return softmax_cross_entropy(res.logits, labels, np.ones(6, bool))
 
         assert check_gradients(build, leaves) < REL_TOL

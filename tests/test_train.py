@@ -6,8 +6,6 @@ early stopping, seed determinism, and end-to-end accuracy on an easy
 synthetic instance.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -129,14 +127,28 @@ class TestAnnealedTemperature:
 
 
 class TestDecayWeights:
-    def test_scales_weights_not_thresholds(self):
-        params = {
-            "conv1.weight": tensor(np.ones((2, 2)), requires_grad=True),
-            "threshold.slope_raw": tensor([[1.0]], requires_grad=True),
-        }
+    def test_scales_weights_not_thresholds(self, monkeypatch):
+        import adgnn.train as train_module
+        from adgnn.model import init_adgnn_params
+
+        params = {"conv1.weight": tensor(np.ones((2, 2)), requires_grad=True)}
         _decay_weights(params, lr=0.1, wd=0.5)
         np.testing.assert_allclose(params["conv1.weight"].values, 0.95)
-        np.testing.assert_allclose(params["threshold.slope_raw"].values, 1.0)
+        # fit_model decays the trunk alone; under hard gating the threshold
+        # scalars get no gradient, so decay is all that could move them
+        decayed = []
+        monkeypatch.setattr(train_module, "_decay_weights",
+                            lambda p, lr, wd: decayed.append(set(p))
+                            or _decay_weights(p, lr, wd))
+        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
+        cfg = AdGnnConfig(backbone=backbone(2), gating="hard")
+        tc = TrainConfig(epochs=2, lr=0.05, weight_decay=0.5)
+        _, best = fit_model(cfg, data, make_split(80, seed=6), tc, seed=0)
+        fresh = init_adgnn_params(cfg, 4, 2, 0)
+        assert len(decayed) == 2
+        assert decayed[0] == {n for n in fresh if not n.startswith("threshold.")}
+        for name in ("threshold.slope_raw", "threshold.intercept_raw"):
+            np.testing.assert_array_equal(best[name], fresh[name].values)
 
     def test_zero_decay_is_identity(self):
         params = {"conv1.weight": tensor(np.ones((2, 2)), requires_grad=True)}
@@ -262,6 +274,34 @@ class TestFitModel:
         assert result.val_history == (0.2, 0.35, 0.35, 0.45, 0.45)
         assert (result.best_val_epoch, result.test_accuracy) == (3, 0.45)
 
+    @pytest.mark.parametrize(
+        "gating, override, match",
+        [
+            ("soft", np.zeros(80, dtype=np.int64), "hard gating"),
+            ("hard", np.full(80, 1.5), "integers"),
+            ("hard", np.zeros(79, dtype=np.int64), "align"),
+            ("hard", np.full(80, 3, dtype=np.int64), r"\[0, t_max\]"),
+            ("hard", np.full(80, -1, dtype=np.int64), r"\[0, t_max\]"),
+        ],
+        ids=["soft_gating", "non_integer", "wrong_shape", "above_t_max",
+             "negative"],
+    )
+    def test_bad_depth_plan_fails_before_any_forward(
+        self, gating, override, match, monkeypatch
+    ):
+        import adgnn.train as train_module
+
+        forwards = []
+        monkeypatch.setattr(train_module, "forward",
+                            lambda *a, **kw: forwards.append(a))
+        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
+        cfg = AdGnnConfig(backbone=backbone(2), variant="fast_degree",
+                          gating=gating)
+        with pytest.raises(ValueError, match=match):
+            fit_model(cfg, data, make_split(80, seed=5), TrainConfig(epochs=40),
+                      seed=0, depth_override=override)
+        assert forwards == []
+
     def test_divergence_raises(self):
         # an absurd step size overflows the weights within two epochs; the
         # loop must fail loudly instead of selecting a garbage snapshot
@@ -283,7 +323,7 @@ class TestAdaptiveTraining:
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=4)
         split = make_split(80, seed=4)
         cfg = AdGnnConfig(
-            t_max=2, backbone=backbone(2), variant="learned",
+            backbone=backbone(2), variant="learned",
             gating="soft", temperature=0.5,
         )
         tc = TrainConfig(epochs=6, lr=0.01)
@@ -297,7 +337,7 @@ class TestAdaptiveTraining:
     def test_fast_degree_hard_gating_smoke(self):
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
         split = make_split(80, seed=5)
-        cfg = AdGnnConfig(t_max=2, backbone=backbone(2),
+        cfg = AdGnnConfig(backbone=backbone(2),
                           variant="fast_degree", gating="hard")
         tc = TrainConfig(epochs=3, lr=0.01)
         result = train_model(cfg, data, split, tc, seed=0)
@@ -323,7 +363,7 @@ class TestAdaptiveTraining:
             ("learned", 2), ("fast_degree", 0), ("heuristic", 0),
         ):
             calls.clear()
-            cfg = AdGnnConfig(t_max=2, backbone=backbone(2), variant=variant)
+            cfg = AdGnnConfig(backbone=backbone(2), variant=variant)
             fit_model(cfg, data, split, tc, seed=0)
             assert len(calls) == epochs_with_pair_loss, variant
 
@@ -347,7 +387,7 @@ class TestAdaptiveTraining:
         monkeypatch.setattr(model_module, "pair_probability", spy)
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
         split = make_split(80, seed=5)
-        cfg = AdGnnConfig(t_max=2, backbone=backbone(2), gating=gating)
+        cfg = AdGnnConfig(backbone=backbone(2), gating=gating)
         fit_model(cfg, data, split, TrainConfig(epochs=4, lr=0.01), seed=0)
         assert rows == [data[0].num_edges] * (2 * 4)
 
@@ -363,7 +403,7 @@ class TestAdaptiveTraining:
         init_slope = None
         for gating in ("hard", "soft"):
             cfg = AdGnnConfig(
-                t_max=2, backbone=backbone(2), variant="learned",
+                backbone=backbone(2), variant="learned",
                 gating=gating, temperature=0.5,
             )
             _, best = fit_model(cfg, data, split, tc, seed=0)
@@ -390,7 +430,7 @@ class TestAdaptiveTraining:
         split = make_split(80, seed=6)
         tc = TrainConfig(epochs=4, lr=0.05)
         cfg = AdGnnConfig(
-            t_max=2, backbone=backbone(2), variant="learned",
+            backbone=backbone(2), variant="learned",
             gating="soft", temperature=0.5,
         )
         _, best = fit_model(cfg, data, split, tc, seed=0)
@@ -407,9 +447,9 @@ class TestAdaptiveTraining:
 class TestOneForwardPerPass:
     CASES = {
         "plain": backbone(2),
-        "learned_soft": AdGnnConfig(t_max=2, backbone=backbone(2),
+        "learned_soft": AdGnnConfig(backbone=backbone(2),
                                     variant="learned", gating="soft"),
-        "fast_degree_hard": AdGnnConfig(t_max=2, backbone=backbone(2),
+        "fast_degree_hard": AdGnnConfig(backbone=backbone(2),
                                         variant="fast_degree", gating="hard"),
     }
 
@@ -459,8 +499,7 @@ class TestOneForwardPerPass:
         params = init_adgnn_params(cfg, features.shape[1], labels.num_classes, 0)
         for name_, p in params.items():
             p.values[:] = best_values[name_]
-        hard = dataclasses.replace(cfg, gating="hard")
-        out = forward(hard, params, graph, tensor(features))
+        out = forward(cfg, params, graph, tensor(features))
         assert accuracy(out.logits, labels.labels, split.test) == result.test_accuracy
         assert out.plan.mean_depth() == result.mean_stopping_depth
         assert tuple(out.plan.depth_histogram()) == result.depth_histogram
