@@ -34,10 +34,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file with driver parameters")
         p.add_argument("--out", type=Path, default=None,
                        help="output file (dataset directory for generate)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="single seed (overrides config)")
-        p.add_argument("--seeds", type=str, default=None,
-                       help="comma-separated seed list (overrides config)")
+        seeds = p.add_mutually_exclusive_group()
+        seeds.add_argument("--seed", type=int, default=None,
+                           help="single seed (overrides config)")
+        seeds.add_argument("--seeds", type=str, default=None,
+                           help="comma-separated seed list (overrides config)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        dest="output_format", help="result table format")
     return parser

@@ -14,8 +14,10 @@ byte-reproducible for fixed seeds.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -73,7 +75,6 @@ _CSBM_DEFAULTS = {
     "dim": 8,
     "sigma": 1.0,
 }
-_CSBM_KEYS = frozenset(_CSBM_DEFAULTS)
 
 _TRAIN_DEFAULTS = {
     "epochs": 150,
@@ -86,7 +87,6 @@ _TRAIN_DEFAULTS = {
     "hidden": 16,
     "early_stop_patience": None,
 }
-_TRAIN_KEYS = frozenset(_TRAIN_DEFAULTS)
 
 _MODEL_DEFAULTS = {
     "model": "plain",
@@ -98,9 +98,6 @@ _MODEL_DEFAULTS = {
     "heuristic_name": "common_neighbors",
     "head_hidden": 16,
 }
-_MODEL_KEYS = frozenset(_MODEL_DEFAULTS)
-# the model keys a plain backbone has no use for
-_ADAPTIVE_KEYS = _MODEL_KEYS - {"model", "kind", "layers"}
 
 _MODEL_NAMES = ("plain",) + VARIANTS
 
@@ -139,107 +136,105 @@ class ExperimentSpec:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
-def _check_keys(cfg: dict, allowed: frozenset | set, kind: str) -> None:
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown config keys for {kind}: {unknown}")
+class _Config:
+    """One driver's config: its keys over the shared defaults and the
+    driver's own.  Every read marks its key, and reject_unread makes a
+    key that no read touched a config error, so a driver takes exactly
+    the keys it reads."""
+
+    def __init__(self, spec: ExperimentSpec, **defaults):
+        self.kind = spec.kind
+        self.values = spec.parameters
+        self.defaults = {**_CSBM_DEFAULTS, **_TRAIN_DEFAULTS, **_MODEL_DEFAULTS,
+                         **defaults}
+        self.touched = set()
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.values
+
+    def read(self, key: str, of: type, many: bool = False):
+        """The key's value, or its default when absent, as an `of` (int,
+        float or str), or as a nonempty list of them when many.  A value
+        of another type is a config error naming the key: no bool is a
+        number, an integer takes no fraction, and a list key takes no
+        scalar and no empty list.  A key whose default is None takes
+        null."""
+        self.touched.add(key)
+        value = self.values[key] if key in self else self.defaults[key]
+        if value is None and self.defaults.get(key, 0) is None:
+            return None
+        accepted, one, several = _READ_AS[of]
+        if many and not (isinstance(value, (list, tuple)) and value):
+            raise ValueError(f"config key {key!r} must be a nonempty list of "
+                             f"{several}, got {value!r}")
+        items = value if many else [value]
+        if any(isinstance(v, bool) or not isinstance(v, accepted) for v in items):
+            what = f"a list of {several}" if many else one
+            raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+        read = [of(v) for v in items]
+        return read if many else read[0]
+
+    def reject_unread(self) -> None:
+        """Call after every read and before any work."""
+        unread = sorted(set(self.values) - self.touched)
+        if unread:
+            raise ValueError(f"config keys {unread} are not read by the "
+                             f"{self.kind} driver")
 
 
-def _read(cfg: dict, key: str, of: type, default=None, many: bool = False):
-    """cfg[key], or default when the key is absent, as an `of` (int,
-    float or str), or as a nonempty list of them when many.  A value of
-    another type is a config error naming the key: no bool is a number,
-    an integer takes no fraction, and a list key takes no scalar and no
-    empty list."""
-    value = cfg.get(key, default)
-    accepted, one, several = _READ_AS[of]
-    if many and not (isinstance(value, (list, tuple)) and value):
-        raise ValueError(f"config key {key!r} must be a nonempty list of "
-                         f"{several}, got {value!r}")
-    items = value if many else [value]
-    if any(isinstance(v, bool) or not isinstance(v, accepted) for v in items):
-        what = f"a list of {several}" if many else one
-        raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
-    read = [of(v) for v in items]
-    return read if many else read[0]
-
-
-def _csbm_params(cfg: dict, **overrides) -> CsbmParams:
-    merged = dict(_CSBM_DEFAULTS)
-    merged.update({k: cfg[k] for k in cfg if k in _CSBM_KEYS})
-    merged.update(overrides)
-    n0, n1 = _read(merged, "n0", int), _read(merged, "n1", int)
+def _csbm_params(cfg: _Config, homophily: float | None = None) -> CsbmParams:
+    n0, n1 = cfg.read("n0", int), cfg.read("n1", int)
+    if homophily is None:
+        homophily = cfg.read("homophily", float)
     p_in, p_out = homophily_from_target(
-        _read(merged, "homophily", float),
-        _read(merged, "mean_degree", float),
-        n0,
-        n1,
+        homophily, cfg.read("mean_degree", float), n0, n1
     )
     mu0, mu1 = canonical_prototypes(
-        _read(merged, "delta_sq", float), _read(merged, "dim", int)
+        cfg.read("delta_sq", float), cfg.read("dim", int)
     )
-    return CsbmParams(
-        n0=n0,
-        n1=n1,
-        mu0=mu0,
-        mu1=mu1,
-        sigma=_read(merged, "sigma", float),
-        p_in=p_in,
-        p_out=p_out,
-    )
+    return CsbmParams(n0=n0, n1=n1, mu0=mu0, mu1=mu1,
+                      sigma=cfg.read("sigma", float), p_in=p_in, p_out=p_out)
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    merged = dict(_TRAIN_DEFAULTS)
-    merged.update({k: cfg[k] for k in cfg if k in _TRAIN_KEYS})
-    patience = merged["early_stop_patience"]
+def _train_config(cfg: _Config) -> TrainConfig:
     return TrainConfig(
-        epochs=_read(merged, "epochs", int),
-        lr=_read(merged, "lr", float),
-        weight_decay=_read(merged, "weight_decay", float),
-        early_stop_patience=(
-            None if patience is None else _read(merged, "early_stop_patience", int)
-        ),
+        epochs=cfg.read("epochs", int),
+        lr=cfg.read("lr", float),
+        weight_decay=cfg.read("weight_decay", float),
+        early_stop_patience=cfg.read("early_stop_patience", int),
     )
 
 
-def _model_config(cfg: dict, **overrides):
-    # the backbone's width and dropout come from the training keys
-    merged = {**_TRAIN_DEFAULTS, **_MODEL_DEFAULTS}
-    merged.update({k: cfg[k] for k in cfg if k in _TRAIN_KEYS | _MODEL_KEYS})
-    merged.update(overrides)
-    name = merged["model"]
+def _model_config(cfg: _Config, **fixed):
+    """The backbone, or the adaptive model around it.  A key the driver
+    fixes is not read from the config, and the model reads
+    heuristic_name, head_hidden and temperature only where its variant
+    and gating use them."""
+    def read(key, of):
+        return fixed[key] if key in fixed else cfg.read(key, of)
+
+    name = read("model", str)
     if name not in _MODEL_NAMES:
         raise ValueError(f"model must be one of {_MODEL_NAMES}")
+    # the backbone's width and dropout come from the training keys
     backbone = BackboneConfig(
-        kind=merged["kind"],
-        layers=_read(merged, "layers", int),
-        hidden_dim=_read(merged, "hidden", int),
-        dropout=_read(merged, "dropout", float),
+        kind=read("kind", str),
+        layers=read("layers", int),
+        hidden_dim=cfg.read("hidden", int),
+        dropout=cfg.read("dropout", float),
     )
     if name == "plain":
         return backbone
-    model = AdGnnConfig(
-        backbone=backbone,
-        lambda_weight=_read(merged, "lambda", float),
-        variant=name,
-        heuristic_name=merged["heuristic_name"],
-        gating=merged["gating"],
-        temperature=_read(merged, "temperature", float),
-        head_hidden=_read(merged, "head_hidden", int),
-    )
-    # a key the built model never reads is an error when the config sets
-    # it; a driver's overrides may set it for every model they build
-    reads = {
-        "heuristic_name": name == "heuristic",
-        "head_hidden": name == "learned",
-        "temperature": model.gating == "soft",
-    }
-    unread = sorted(k for k, used in reads.items() if k in cfg and not used)
-    if unread:
-        raise ValueError(f"config keys {unread} are not read by the {name} "
-                         f"model under {model.gating} gating")
-    return model
+    gating = read("gating", str)
+    used = {}
+    if name == "heuristic":
+        used["heuristic_name"] = read("heuristic_name", str)
+    if name == "learned":
+        used["head_hidden"] = read("head_hidden", int)
+    if gating == "soft":
+        used["temperature"] = read("temperature", float)
+    return AdGnnConfig(backbone=backbone, lambda_weight=read("lambda", float),
+                       variant=name, gating=gating, **used)
 
 
 def _train_seeds(
@@ -266,12 +261,13 @@ def _sampled(params: CsbmParams):
     return lambda s: sample_graph(params, seed=s)
 
 
-def _data_source(cfg: dict):
-    """The dataset at cfg["data"] for every seed when given, else a fresh
-    CSBM draw per seed."""
+def _data_source(cfg: _Config):
+    """The dataset at cfg["data"] for every seed when given, loaded at the
+    first seed, else a fresh CSBM draw per seed."""
     if "data" in cfg:
-        data = load_dataset(_read(cfg, "data", str))
-        return lambda s: data
+        path = cfg.read("data", str)
+        load = functools.cache(functools.partial(load_dataset, path))
+        return lambda s: load()
     return _sampled(_csbm_params(cfg))
 
 
@@ -279,10 +275,11 @@ def _data_source(cfg: dict):
 
 
 def run_generate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    _check_keys(spec.parameters, _CSBM_KEYS, spec.kind)
+    cfg = _Config(spec)
+    params = _csbm_params(cfg)
+    cfg.reject_unread()
     if spec.out is None:
         raise ValueError("generate requires an output directory")
-    params = _csbm_params(spec.parameters)
     seed = spec.seeds[0]
     graph, features, labels = sample_graph(params, seed=seed)
     meta = {
@@ -312,17 +309,12 @@ def run_generate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
 
 
 def run_train(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    allowed = _CSBM_KEYS | _TRAIN_KEYS | _MODEL_KEYS | {"data"}
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
-    ignored = sorted(_ADAPTIVE_KEYS & set(cfg))
-    if cfg.get("model", "plain") == "plain" and ignored:
-        raise ValueError(f"config keys {ignored} apply only to adaptive models")
+    cfg = _Config(spec)
     tc = _train_config(cfg)
     model_cfg = _model_config(cfg)
-    results = _train_seeds(
-        model_cfg, tc, spec.seeds, _data_source(cfg)
-    ).seed_results
+    data_for = _data_source(cfg)
+    cfg.reject_unread()
+    results = _train_seeds(model_cfg, tc, spec.seeds, data_for).seed_results
     header = [
         "seed",
         "test_accuracy",
@@ -344,17 +336,17 @@ def run_theory_validate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     reads only its own seeded stream, so the estimates run on a thread
     per usable CPU (numpy's draws and in-place ufuncs release the GIL)
     and the table does not depend on how many there are."""
-    allowed = {"profiles", "max_degree", "trials", "delta_sq", "sigma_sq", "dim"}
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
-    count = _read(cfg, "profiles", int, 50)
-    max_degree = _read(cfg, "max_degree", int, 20)
-    trials = _read(cfg, "trials", int, 100_000)
+    cfg = _Config(spec, profiles=50, max_degree=20, trials=100_000,
+                  delta_sq=4.0, sigma_sq=1.0, dim=8)
+    count = cfg.read("profiles", int)
+    max_degree = cfg.read("max_degree", int)
+    trials = cfg.read("trials", int)
     stats = ClassStats(
-        delta_sq=_read(cfg, "delta_sq", float, 4.0),
-        sigma_sq=_read(cfg, "sigma_sq", float, 1.0),
+        delta_sq=cfg.read("delta_sq", float),
+        sigma_sq=cfg.read("sigma_sq", float),
     )
-    dim = _read(cfg, "dim", int, 8)
+    dim = cfg.read("dim", int)
+    cfg.reject_unread()
     if count < 1 or max_degree < 1:
         raise ValueError("profiles and max_degree must be positive")
     if trials < 1000:
@@ -392,9 +384,13 @@ def run_theory_validate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
             dim=dim,
         )
 
+    # sched_getaffinity, which counts the CPUs this process may use, is
+    # Linux-only; elsewhere every CPU counts
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     # a profile that raises cancels the ones not yet started, and the pool
     # joins its threads before the error leaves this function
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), count)) as pool:
+    with ThreadPoolExecutor(min(cpus, count)) as pool:
         estimates = list(pool.map(estimate, range(count)))
     rows = []
     for profile, mc in zip(profiles, estimates):
@@ -417,20 +413,18 @@ def run_theory_validate(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
 
 
 def run_sweep_homophily(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    allowed = (
-        (_CSBM_KEYS - {"homophily"}) | _TRAIN_KEYS | {"grid", "kind", "layers"}
-    )
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
-    grid = _read(cfg, "grid", float, (0.0, 0.25, 0.5, 0.75, 1.0), many=True)
+    cfg = _Config(spec, grid=(0.0, 0.25, 0.5, 0.75, 1.0))
+    grid = cfg.read("grid", float, many=True)
     if any(h < 0.0 or h > 1.0 for h in grid):
         raise ValueError("homophily grid must lie in [0, 1]")
     tc = _train_config(cfg)
     model_cfg = _model_config(cfg, model="plain")
+    # the grid sets homophily
+    params = [_csbm_params(cfg, homophily=h) for h in grid]
+    cfg.reject_unread()
     rows = []
-    for h in grid:
-        params = _csbm_params(cfg, homophily=h)
-        run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(params))
+    for h, p in zip(grid, params):
+        run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(p))
         rows.append([h, run.mean, run.std])
     return ["homophily", "acc_mean", "acc_std"], rows
 
@@ -439,20 +433,20 @@ def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[li
     """Strong-heterophily sweep where nodes at or below a degree cutoff are
     forced to keep their raw features (stopping depth 0) while everyone
     else runs full depth."""
-    allowed = _CSBM_KEYS | _TRAIN_KEYS | {"thresholds", "kind", "layers"}
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
-    thresholds = _read(cfg, "thresholds", int, (0, 2, 4, 6), many=True)
-    if any(t < 0 for t in thresholds):
-        raise ValueError("degree thresholds must be non-negative")
-    tc = _train_config(cfg)
     # lower default degree than the other sweeps so the forced-raw
     # population is large enough to move aggregate accuracy, and wider
     # class separation so keeping raw features is actually worth something
-    base = {"homophily": 0.0, "mean_degree": 5.0, "delta_sq": 2.0}
-    base.update({k: cfg[k] for k in cfg if k in _CSBM_KEYS})
-    params = _csbm_params(base)
-    model_cfg = _model_config(cfg, model="fast_degree", gating="hard")
+    cfg = _Config(spec, thresholds=(0, 2, 4, 6), homophily=0.0,
+                  mean_degree=5.0, delta_sq=2.0)
+    thresholds = cfg.read("thresholds", int, many=True)
+    if any(t < 0 for t in thresholds):
+        raise ValueError("degree thresholds must be non-negative")
+    tc = _train_config(cfg)
+    params = _csbm_params(cfg)
+    # the forced plan sets every depth, so no gate or threshold key is read
+    model_cfg = _model_config(cfg, model="fast_degree", gating="hard",
+                              **{"lambda": 0.0})
+    cfg.reject_unread()
     t_max = model_cfg.t_max
     rows = []
     for threshold in thresholds:
@@ -468,48 +462,40 @@ def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[li
 
 
 def run_sweep_depth(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    # the depths grid sets layers
-    allowed = _CSBM_KEYS | _TRAIN_KEYS | (_MODEL_KEYS - {"layers"}) | {"depths"}
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
-    depths = _read(cfg, "depths", int, (1, 2, 4, 8, 16, 32), many=True)
+    cfg = _Config(spec, depths=(1, 2, 4, 8, 16, 32), model="learned")
+    depths = cfg.read("depths", int, many=True)
     if any(d < 1 for d in depths):
         raise ValueError("depths must be positive")
+    if cfg.read("model", str) == "plain":
+        raise ValueError("sweep_depth compares plain against an adaptive model")
     tc = _train_config(cfg)
     params = _csbm_params(cfg)
-    adaptive_name = cfg.get("model", "learned")
-    if adaptive_name == "plain":
-        raise ValueError("sweep_depth compares plain against an adaptive model")
+    # the depths grid sets layers
+    models = [(depth, name, _model_config(cfg, layers=depth, **fixed))
+              for depth in depths
+              for name, fixed in (("plain", {"model": "plain"}), ("adaptive", {}))]
+    cfg.reject_unread()
     rows = []
-    for depth in depths:
-        for name in ("plain", "adaptive"):
-            model = "plain" if name == "plain" else adaptive_name
-            model_cfg = _model_config(cfg, model=model, layers=depth)
-            run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(params))
-            rows.append([depth, name, run.mean, run.std])
+    for depth, name, model_cfg in models:
+        run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(params))
+        rows.append([depth, name, run.mean, run.std])
     return ["depth", "model", "acc_mean", "acc_std"], rows
 
 
 def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    # the lambdas grid sets lambda
-    allowed = (
-        _CSBM_KEYS | _TRAIN_KEYS | (_MODEL_KEYS - {"lambda"}) | {"lambdas", "data"}
-    )
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
-    lambdas = _read(cfg, "lambdas", float, (0.0, 0.25, 0.5, 0.75, 1.0), many=True)
+    cfg = _Config(spec, lambdas=(0.0, 0.25, 0.5, 0.75, 1.0), model="learned")
+    lambdas = cfg.read("lambdas", float, many=True)
     if any(v < 0.0 or v > 1.0 for v in lambdas):
         raise ValueError("lambda grid must lie in [0, 1]")
+    if cfg.read("model", str) == "plain":
+        raise ValueError("sweep_lambda requires an adaptive model")
     tc = _train_config(cfg)
     data_for = _data_source(cfg)
-    adaptive_name = cfg.get("model", "learned")
-    if adaptive_name == "plain":
-        raise ValueError("sweep_lambda requires an adaptive model")
+    # the lambdas grid sets lambda
+    models = [_model_config(cfg, **{"lambda": lam}) for lam in lambdas]
+    cfg.reject_unread()
     rows = []
-    for lam in lambdas:
-        model_cfg = _model_config(
-            cfg, model=adaptive_name, **{"lambda": lam}
-        )
+    for lam, model_cfg in zip(lambdas, models):
         run = _train_seeds(model_cfg, tc, spec.seeds, data_for)
         rows.append([lam, run.mean, run.std])
     return ["lambda", "acc_mean", "acc_std"], rows
@@ -520,13 +506,12 @@ def run_profile_depth_benefit(spec: ExperimentSpec) -> tuple[list[str], list[lis
     depth benefit.  Nodes with exact signal cancellation (benefit 0, log
     -inf) cannot be averaged with the rest and land in a sentinel bucket
     keyed degree=-1."""
-    allowed = _CSBM_KEYS | {"n_layers"}
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
-    n_layers = _read(cfg, "n_layers", int, 2)
+    cfg = _Config(spec, n_layers=2)
+    n_layers = cfg.read("n_layers", int)
     if n_layers < 1:
         raise ValueError("n_layers must be positive")
     params = _csbm_params(cfg)
+    cfg.reject_unread()
     graph, _, labels = sample_graph(params, seed=spec.seeds[0])
     d_plus, d_minus, deg = profile_counts(graph, labels)
     alpha = estimated_alpha(
@@ -549,37 +534,33 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
     the heuristic variant.  score_compute_ms is the best of
     timing_repeats wall-clock measurements, each a fresh computation; the
     first fills the per-graph cache that training then reads."""
-    allowed = (
-        _CSBM_KEYS
-        | _TRAIN_KEYS
-        | {"heuristics", "kind", "layers", "gating", "temperature",
-           "lambda", "data_seed", "timing_repeats"}
-    )
-    _check_keys(spec.parameters, allowed, spec.kind)
-    cfg = spec.parameters
     sources = HEURISTIC_NAMES + ("degree",)
-    names = _read(cfg, "heuristics", str, sources, many=True)
+    cfg = _Config(spec, heuristics=sources, timing_repeats=3, data_seed=0)
+    names = cfg.read("heuristics", str, many=True)
     if len(set(names)) != len(names):
         raise ValueError("heuristic list names a source twice")
     for name in names:
         if name not in sources:
             raise ValueError(f"unknown heuristic {name!r}; choose from {sources}")
-    repeats = _read(cfg, "timing_repeats", int, 3)
+    repeats = cfg.read("timing_repeats", int)
     if repeats < 1:
         raise ValueError("config key 'timing_repeats' must be at least 1")
     tc = _train_config(cfg)
     params = _csbm_params(cfg)
-    data = sample_graph(params, seed=_read(cfg, "data_seed", int, 0))
+    data_seed = cfg.read("data_seed", int)
+    models = [
+        _model_config(cfg, model="fast_degree") if name == "degree"
+        else _model_config(cfg, model="heuristic", heuristic_name=name)
+        for name in names
+    ]
+    cfg.reject_unread()
+    data = sample_graph(params, seed=data_seed)
     graph = data[0]
     rows = []
-    for name in names:
+    for name, model_cfg in zip(names, models):
         if name == "degree":
-            model_cfg = _model_config(cfg, model="fast_degree")
             score_fn = lambda: degree_similarity(graph)  # noqa: E731
         else:
-            model_cfg = _model_config(
-                cfg, model="heuristic", heuristic_name=name
-            )
             score_fn = lambda n=name: heuristic_similarity(graph, n)  # noqa: E731
         elapsed = []
         for i in range(repeats):
@@ -611,14 +592,20 @@ KINDS = tuple(_DISPATCH)
 
 def format_table(header: list[str], rows: list[list], output_format: str) -> str:
     """The text of a result table: CSV with CRLF line ends, or a JSON list
-    with one object per row."""
+    with one object per row and null for a non-finite value."""
     if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    # strict JSON has no NaN or infinity: a non-finite value is null
+    records = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v
+         for k, v in zip(header, row)}
+        for row in rows
+    ]
+    return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
 def _write_table(spec: ExperimentSpec, header: list[str], rows: list[list]) -> None:

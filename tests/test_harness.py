@@ -277,6 +277,30 @@ class TestTheoryValidate:
         assert not out.exists() and not list(tmp_path.glob("table.csv*"))
         assert threading.active_count() == before
 
+    def test_without_sched_getaffinity_the_pool_uses_cpu_count(
+            self, tmp_path, monkeypatch):
+        # sched_getaffinity is Linux-only; elsewhere the driver used to
+        # raise AttributeError and exit 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"profiles": 5, "trials": 1000}))
+        workers, tables = [], []
+
+        class Pool(drivers.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(drivers, "ThreadPoolExecutor", Pool)
+        for run in range(2):
+            if run == 1:
+                monkeypatch.delattr(drivers.os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(drivers.os, "cpu_count", lambda: 3)
+            out = tmp_path / f"t{run}.csv"
+            assert main(["theory-validate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert workers[1] == 3 and tables[0] == tables[1]
+
     @pytest.mark.parametrize("key, value", [("trials", 999), ("trials", 0),
                                             ("dim", 0)])
     def test_oracle_inputs_checked_before_any_draw(
@@ -689,7 +713,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "extra, message",
         [('"model": "modified"', "model must be one of"),
-         ('"model": "learned", "beta": 1', "unknown config keys")],
+         ('"model": "learned", "beta": 1', "config keys ['beta'] are not read")],
         ids=["modified", "beta"],
     )
     def test_deleted_calibration_variant_exits_2(
@@ -721,19 +745,19 @@ class TestCli:
         assert f"config keys [{key!r}] are not read" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, extra",
-        [("sweep-lambda", '"lambda": "bogus", "lambdas": [0.0]'),
-         ("sweep-depth", '"layers": -5, "depths": [1]')],
+        "command, extra, key",
+        [("sweep-lambda", '"lambda": "bogus", "lambdas": [0.0]', "lambda"),
+         ("sweep-depth", '"layers": -5, "depths": [1]', "layers")],
         ids=["sweep_lambda", "sweep_depth"],
     )
     def test_sweep_key_set_by_its_grid_exits_2(
-        self, tmp_path, capsys, command, extra
+        self, tmp_path, capsys, command, extra, key
     ):
         # each grid overrides the single-value key, so the key is rejected
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
         assert main([command, "--config", str(cfg), "--seeds", "0"]) == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        assert f"config keys [{key!r}] are not read" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", [None, "plain"], ids=["default", "plain"])
     def test_plain_train_eval_rejects_adaptive_keys(self, tmp_path, capsys, model):
@@ -747,8 +771,8 @@ class TestCli:
                        '"gating": "bogus", "head_hidden": -3}')
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
         err = capsys.readouterr().err
-        assert "['gating', 'head_hidden', 'temperature']" in err
-        assert "adaptive" in err
+        keys = "['gating', 'head_hidden', 'temperature']"
+        assert f"config keys {keys} are not read" in err
 
     def test_seeds_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -797,6 +821,78 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload and set(payload[0]) == {"degree", "mean_log_benefit",
                                                "node_count"}
+
+    def test_json_tables_are_strict_json(self, tmp_path, capsys):
+        # RFC 8259 has no NaN or infinity: a plain model's stopping depth and
+        # the cancellation bucket's mean used to be written as NaN and
+        # -Infinity, and are null now
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        train = tmp_path / "t.json"
+        train.write_text(json.dumps({**TINY, "epochs": 2}))
+        assert main(["train-eval", "--config", str(train), "--seeds", "0",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rows[0]["mean_stopping_depth"] is None
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({"n0": 30, "n1": 30, "mean_degree": 2.0,
+                                       "dim": 2, "homophily": 0.0}))
+        assert main(["profile-depth-benefit", "--config", str(profile),
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rows[0]["degree"] == -1 and rows[0]["mean_log_benefit"] is None
+        assert all(row["mean_log_benefit"] is not None for row in rows[1:])
+
+    @pytest.mark.parametrize("kind", drivers.KINDS)
+    def test_unread_key_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        calls = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise RuntimeError(f"{name} ran before the config was checked")
+            return record
+
+        for name in ("sample_graph", "train_model", "mc_single_layer_stats"):
+            monkeypatch.setattr(drivers, name, spy(name))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"no_driver_reads_this": 1}))
+        out = tmp_path / "out"
+        assert main([kind.replace("_", "-"), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config keys ['no_driver_reads_this'] are not read" in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-eval", "sweep-lambda"])
+    @pytest.mark.parametrize("key, value", [("homophily", 0.5), ("n0", 10),
+                                            ("delta_sq", 3.0), ("sigma", 2.0)])
+    def test_synthetic_key_beside_data_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        # a dataset replaces the CSBM draw, so these keys used to be ignored
+        # and the table was the one without them
+        graph, features, labels = small_csbm()
+        save_dataset(tmp_path / "ds", graph, features, labels)
+        loads = []
+        monkeypatch.setattr(drivers, "load_dataset",
+                            lambda path: loads.append(path) or load_dataset(path))
+        params = {"data": str(tmp_path / "ds"), "epochs": 2, key: value}
+        if command == "sweep-lambda":
+            params["lambdas"] = [0.0]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(params))
+        assert main([command, "--config", str(cfg), "--seeds", "0"]) == 2
+        assert f"config keys [{key!r}] are not read" in capsys.readouterr().err
+        assert loads == []
+
+    def test_seed_and_seeds_together_exit_2(self, capsys):
+        # --seeds used to win silently over --seed
+        assert main(["train-eval", "--seed", "1", "--seeds", "0,1"]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_malformed_seeds_flag(self, capsys):
         assert main(["train-eval", "--seeds", "1,x"]) == 2
