@@ -250,9 +250,11 @@ def pair_probability(head: SimilarityHead, h_u: Tensor, h_v: Tensor) -> Tensor:
     def bwd(g):
         # each step and each sum in the order the sigmoid, matmul, relu,
         # matmul, hstack, product and |difference| rules would take them,
-        # so the gradients round exactly as that chain of nodes would
+        # so the gradients round exactly as that chain of nodes would;
+        # r @ w2 has inner size 1, so its matmul rule's g2 @ w2.T is one
+        # product per element, which the broadcast gives bit for bit
         g2 = g * p * (1.0 - p)
-        g_z1 = (g2 @ head.w2.values.T) * mask
+        g_z1 = (g2 * head.w2.values.T) * mask
         g_feats = g_z1 @ head.w1.values.T
         g_abs, g_mul = g_feats[:, :width], g_feats[:, width:]
         sign = np.sign(diff)

@@ -5,11 +5,15 @@ qualitative reproductions live in the acceptance suite.
 """
 
 import argparse
+import ctypes
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -566,6 +570,112 @@ class TestTrainDriver:
         header, rows = execute(spec)
         assert len(rows) == 1
         assert np.isnan(rows[0][4])  # plain model has no depth plan
+
+
+def _install_fake_libc(monkeypatch):
+    """A glibc host whose libc records mallopt calls; returns the calls
+    and the names loaded."""
+    calls, loaded = [], []
+
+    def cdll(name):
+        loaded.append(name)
+        return SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value)) or 1)
+
+    monkeypatch.setattr(drivers.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(drivers.ctypes, "CDLL", cdll)
+    return calls, loaded
+
+
+def _on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestKeepFreedHeap:
+    def test_execute_makes_both_calls_before_the_driver(self, monkeypatch):
+        calls, loaded = _install_fake_libc(monkeypatch)
+        seen = []
+        monkeypatch.setitem(drivers._DISPATCH, "train_eval",
+                            lambda spec: seen.append(list(calls)) or (["x"], []))
+        execute(ExperimentSpec(kind="train_eval", parameters={}, seeds=(0,)))
+        # M_MMAP_THRESHOLD to 32 MiB, then M_TRIM_THRESHOLD to 64 MiB
+        assert seen == [[(-3, 32 << 20), (-1, 64 << 20)]]
+        assert calls == seen[0]
+        assert loaded == ["libc.so.6"]
+
+    def test_import_makes_no_call(self, tmp_path):
+        # a fresh interpreter with the fake libc in place before the import;
+        # execute afterwards shows the fake would have seen a call
+        code = (
+            "import ctypes, json, os, types\n"
+            "calls = []\n"
+            "os.confstr = lambda name: 'glibc 2.36'\n"
+            "ctypes.CDLL = lambda name: types.SimpleNamespace(\n"
+            "    mallopt=lambda p, v: calls.append((p, v)) or 1)\n"
+            "import adgnn.cli\n"
+            "from adgnn.drivers import ExperimentSpec, execute\n"
+            "after_import = list(calls)\n"
+            "execute(ExperimentSpec(kind='theory_validate', seeds=(0,),\n"
+            "    parameters={'profiles': 1, 'trials': 1000, 'max_degree': 2}))\n"
+            "print(json.dumps([after_import, calls]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(drivers.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert json.loads(out) == [[], [[-3, 32 << 20], [-1, 64 << 20]]]
+
+    @pytest.mark.parametrize("confstr", [
+        pytest.param(ValueError("unrecognized configuration name"), id="unknown_name"),
+        pytest.param(OSError("confstr failed"), id="os_error"),
+        pytest.param(AttributeError("no confstr"), id="no_confstr"),
+        pytest.param(None, id="undefined"),
+        pytest.param("musl 1.2.4", id="other_libc"),
+    ])
+    def test_no_op_without_glibc(self, monkeypatch, confstr):
+        calls, loaded = _install_fake_libc(monkeypatch)
+
+        def fake_confstr(name):
+            if isinstance(confstr, Exception):
+                raise confstr
+            return confstr
+
+        monkeypatch.setattr(drivers.os, "confstr", fake_confstr)
+        drivers._keep_freed_heap()
+        assert calls == [] and loaded == []
+
+    def test_no_op_when_libc_does_not_load(self, monkeypatch):
+        _install_fake_libc(monkeypatch)
+
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(drivers.ctypes, "CDLL", missing)
+        drivers._keep_freed_heap()
+
+    @pytest.mark.skipif(not _on_glibc(), reason="needs glibc")
+    def test_real_mallopt_accepts_both_values(self, monkeypatch):
+        # the real mallopt, called with the types the helper declares,
+        # returns 1 for success
+        results = []
+        real_cdll = ctypes.CDLL
+
+        def cdll(name):
+            real = real_cdll(name).mallopt
+
+            def mallopt(param, value):
+                real.argtypes, real.restype = mallopt.argtypes, mallopt.restype
+                results.append(real(param, value))
+                return results[-1]
+
+            return SimpleNamespace(mallopt=mallopt)
+
+        monkeypatch.setattr(drivers.ctypes, "CDLL", cdll)
+        drivers._keep_freed_heap()
+        assert results == [1, 1]
 
 
 class TestCli:
