@@ -160,5 +160,9 @@ def load_dataset(directory: str | Path) -> tuple[Graph, np.ndarray, LabelVector]
     if meta_path.is_file():
         with open(meta_path) as fh:
             meta = json.load(fh)
-        num_classes = int(meta.get("num_classes", num_classes))
+        num_classes = meta.get("num_classes", num_classes)
+        # bool subclasses int, and a fraction must not truncate to a count
+        if isinstance(num_classes, bool) or not isinstance(num_classes, int):
+            raise ValueError(f"{meta_path}: num_classes must be an integer, "
+                             f"got {num_classes!r}")
     return graph, features, LabelVector(labels=y, num_classes=num_classes)

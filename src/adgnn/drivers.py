@@ -83,10 +83,8 @@ _TRAIN_DEFAULTS = {
     # tall trunks: the first Adam step after the initial val peak can be
     # large enough to knock a 32-layer run into a regime it never leaves.
     "lr": 0.01,
-    "weight_decay": 0.0,
     "dropout": 0.0,
     "hidden": 16,
-    "early_stop_patience": None,
 }
 
 _MODEL_DEFAULTS = {
@@ -95,7 +93,6 @@ _MODEL_DEFAULTS = {
     "layers": 2,
     "lambda": 0.0,
     "gating": "soft",
-    "temperature": 0.1,
     "heuristic_name": "common_neighbors",
     "head_hidden": 16,
 }
@@ -134,6 +131,9 @@ class ExperimentSpec:
             # bool subclasses int, and True must not run seed 1
             if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
                 raise ValueError(f"seeds must be integers, got {s!r}")
+            # numpy seeds no generator from a negative integer
+            if s < 0:
+                raise ValueError(f"seeds must be non-negative, got {int(s)}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
@@ -158,12 +158,9 @@ class _Config:
         float or str), or as a nonempty list of them when many.  A value
         of another type is a config error naming the key: no bool is a
         number, an integer takes no fraction, and a list key takes no
-        scalar and no empty list.  A key whose default is None takes
-        null."""
+        scalar and no empty list."""
         self.touched.add(key)
         value = self.values[key] if key in self else self.defaults[key]
-        if value is None and self.defaults.get(key, 0) is None:
-            return None
         accepted, one, several = _READ_AS[of]
         if many and not (isinstance(value, (list, tuple)) and value):
             raise ValueError(f"config key {key!r} must be a nonempty list of "
@@ -198,19 +195,13 @@ def _csbm_params(cfg: _Config, homophily: float | None = None) -> CsbmParams:
 
 
 def _train_config(cfg: _Config) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.read("epochs", int),
-        lr=cfg.read("lr", float),
-        weight_decay=cfg.read("weight_decay", float),
-        early_stop_patience=cfg.read("early_stop_patience", int),
-    )
+    return TrainConfig(epochs=cfg.read("epochs", int), lr=cfg.read("lr", float))
 
 
 def _model_config(cfg: _Config, **fixed):
     """The backbone, or the adaptive model around it.  A key the driver
     fixes is not read from the config, and the model reads
-    heuristic_name, head_hidden and temperature only where its variant
-    and gating use them."""
+    heuristic_name and head_hidden only where its variant uses them."""
     def read(key, of):
         return fixed[key] if key in fixed else cfg.read(key, of)
 
@@ -226,16 +217,13 @@ def _model_config(cfg: _Config, **fixed):
     )
     if name == "plain":
         return backbone
-    gating = read("gating", str)
     used = {}
     if name == "heuristic":
         used["heuristic_name"] = read("heuristic_name", str)
     if name == "learned":
         used["head_hidden"] = read("head_hidden", int)
-    if gating == "soft":
-        used["temperature"] = read("temperature", float)
     return AdGnnConfig(backbone=backbone, lambda_weight=read("lambda", float),
-                       variant=name, gating=gating, **used)
+                       variant=name, gating=read("gating", str), **used)
 
 
 def _train_seeds(
@@ -549,6 +537,9 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
     tc = _train_config(cfg)
     params = _csbm_params(cfg)
     data_seed = cfg.read("data_seed", int)
+    if data_seed < 0:
+        raise ValueError(f"config key 'data_seed' must be non-negative, got "
+                         f"{data_seed}")
     models = [
         _model_config(cfg, model="fast_degree") if name == "degree"
         else _model_config(cfg, model="heuristic", heuristic_name=name)

@@ -153,15 +153,14 @@ class DepthPlan:
 class AdGnnConfig:
     """The adaptive model: its backbone trunk, one conv per allowable depth
     (t_max is the backbone's layer count), and how it scores depth.
-    `gating` and `temperature` are the training recipe that fit_model
-    reads; forward gates soft only at a temperature its caller passes."""
+    `gating` is the training recipe that fit_model reads; forward gates
+    soft only at a temperature its caller passes."""
 
     backbone: BackboneConfig
     lambda_weight: float = 0.0
     variant: str = "learned"
     heuristic_name: str = "common_neighbors"
     gating: str = "hard"
-    temperature: float = 0.1
     head_hidden: int = 16
 
     @property
@@ -177,8 +176,6 @@ class AdGnnConfig:
             raise ValueError(f"heuristic_name must be one of {HEURISTIC_NAMES}")
         if self.gating not in GATING_MODES:
             raise ValueError(f"gating must be one of {GATING_MODES}")
-        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError("temperature must be finite and positive")
         if self.head_hidden < 1:
             raise ValueError("head_hidden must be positive")
 

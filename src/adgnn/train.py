@@ -43,11 +43,13 @@ __all__ = [
     "train_model",
 ]
 
-# Soft-gate temperature schedule: halve every 25 epochs, never below 1e-3.
-# Anneal fast enough that a default-length run reaches the near-hard
-# regime with room to spare.  Evaluation is always hard; a checkpoint
-# selected while the gates are still warm feeds the classifier blended
-# rows, and the frozen rows it meets at eval time look nothing like them.
+# Soft-gate temperature schedule: start at 0.1, halve every 25 epochs,
+# never below 1e-3.  Anneal fast enough that a default-length run reaches
+# the near-hard regime with room to spare.  Evaluation is always hard; a
+# checkpoint selected while the gates are still warm feeds the classifier
+# blended rows, and the frozen rows it meets at eval time look nothing
+# like them.
+_BASE_TEMPERATURE = 0.1
 _ANNEAL_EVERY = 25
 _ANNEAL_FACTOR = 0.5
 _TEMPERATURE_FLOOR = 1e-3
@@ -75,18 +77,12 @@ _POLICY_LR_SCALE = 0.1
 class TrainConfig:
     epochs: int = 200
     lr: float = 0.01
-    weight_decay: float = 0.0
-    early_stop_patience: int | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError("lr must be finite and positive")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ValueError("weight_decay must be finite and non-negative")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("patience must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -122,9 +118,10 @@ class RunResult:
         return float(self.accuracies.std())
 
 
-def annealed_temperature(base: float, epoch_index: int) -> float:
-    return max(base * _ANNEAL_FACTOR ** (epoch_index // _ANNEAL_EVERY),
-               _TEMPERATURE_FLOOR)
+def annealed_temperature(epoch_index: int) -> float:
+    """The soft-gate temperature `epoch_index` epochs after the warm-up."""
+    halvings = epoch_index // _ANNEAL_EVERY
+    return max(_BASE_TEMPERATURE * _ANNEAL_FACTOR ** halvings, _TEMPERATURE_FLOOR)
 
 
 def accuracy(logits, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -147,16 +144,6 @@ def _forward(cfg, params, graph, x, rng, depth_override, temperature) -> Forward
         return ForwardResult(logits, None, None)
     return forward(cfg, params, graph, x, dropout_rng=rng,
                    depth_override=depth_override, temperature=temperature)
-
-
-def _decay_weights(params: dict[str, Tensor], lr: float, wd: float) -> None:
-    # decoupled decay of every parameter given, applied before the Adam
-    # update; fit_model passes the trunk, so the threshold scalars are
-    # left alone
-    if wd == 0.0:
-        return
-    for p in params.values():
-        p.values *= 1.0 - lr * wd
 
 
 def fit_model(
@@ -217,7 +204,7 @@ def fit_model(
         # soft gates open after the hard warm-up and anneal from there;
         # evaluation always gates hard
         temperature = (
-            annealed_temperature(cfg.temperature, epoch - _GATE_WARMUP_EPOCHS)
+            annealed_temperature(epoch - _GATE_WARMUP_EPOCHS)
             if soft and epoch >= _GATE_WARMUP_EPOCHS else None
         )
         with Tape() as tape:
@@ -236,7 +223,6 @@ def fit_model(
         named_grads = {
             name: leaf_grads[p] for name, p in params.items() if p in leaf_grads
         }
-        _decay_weights(trunk, tc.lr, tc.weight_decay)
         adam_step(trunk, named_grads, state)
         if policy_state is not None:
             adam_step(policy, named_grads, policy_state)
@@ -249,11 +235,6 @@ def fit_model(
             best_epoch = epoch
             best_values = {k: p.values.copy() for k, p in params.items()}
             best_out = val_out
-        elif (
-            tc.early_stop_patience is not None
-            and epoch - best_epoch >= tc.early_stop_patience
-        ):
-            break
 
     plan = best_out.plan
     result = SeedResult(

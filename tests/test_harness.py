@@ -137,6 +137,24 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=r"labels\.csv:1"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("value", ["2.9", '"two"', "true"],
+                             ids=["fraction", "string", "bool"])
+    def test_num_classes_must_be_a_json_integer(self, tmp_path, capsys, value):
+        # 2.9 used to train as 2 classes, and "two" and true exited 2 with
+        # a message that named neither the key nor the file
+        graph, features, labels = small_csbm()
+        d = save_dataset(tmp_path / "ds", graph, features, labels)
+        meta = (d / "meta.json").read_text()
+        (d / "meta.json").write_text(
+            meta.replace('"num_classes": 2', f'"num_classes": {value}'))
+        with pytest.raises(ValueError, match=r"meta\.json: num_classes must be "
+                                             r"an integer"):
+            load_dataset(d)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"data": str(d), "epochs": 3, "hidden": 8}))
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        assert "meta.json: num_classes must be an integer" in capsys.readouterr().err
+
     def test_missing_directory_and_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
@@ -171,6 +189,37 @@ class TestExperimentSpec:
     def test_numpy_integer_seeds_accepted(self):
         spec = ExperimentSpec(kind="train_eval", seeds=tuple(np.arange(2, 4)))
         assert spec.seeds == (2, 3) and all(type(s) is int for s in spec.seeds)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)], ids=["int", "numpy"])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seeds must be non-negative, got "
+                                             f"{int(seed)}"):
+            ExperimentSpec(kind="train_eval", seeds=(0, seed))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["train-eval", "--seeds", "0,-1"], "seeds must be non-negative, got -1"),
+         (["theory-validate", "--seeds", "-2"], "seeds must be non-negative, got -2"),
+         (["sweep-homophily", "--seed", "-4"], "seeds must be non-negative, got -4"),
+         (["compare-heuristics", "--seeds", "0"],
+          "config key 'data_seed' must be non-negative, got -1")],
+        ids=["train_eval", "theory_validate", "sweep_seed_flag", "data_seed"],
+    )
+    def test_negative_seed_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        # train-eval used to train seed 0 and then stop on numpy's "expected
+        # non-negative integer", which named neither the seed nor the flag
+        work = []
+        for target in ("adgnn.drivers.sample_graph", "adgnn.train.fit_model",
+                       "adgnn.drivers.mc_single_layer_stats"):
+            monkeypatch.setattr(target, lambda *a, _t=target, **kw: work.append(_t))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "data_seed": -1}
+                                  if argv[0] == "compare-heuristics" else {}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert work == []
 
 
 class TestGenerate:
@@ -414,7 +463,7 @@ class TestSweepDepth:
         spec = ExperimentSpec(
             kind="sweep_depth",
             parameters={**TINY, "epochs": 2, "depths": [1], "lambda": 0.1,
-                        "gating": "soft", "temperature": 0.2, "head_hidden": 4},
+                        "gating": "soft", "head_hidden": 4},
             seeds=(0,),
         )
         _, rows = execute(spec)
@@ -743,12 +792,32 @@ class TestCli:
         assert main(["sweep-homophily", "--config", str(cfg)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", drivers.KINDS)
+    def test_removed_training_keys_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        # weight decay, early-stopping patience and the base gate
+        # temperature are no longer settable; a config that names one is
+        # refused by the unread-key check like any other stray key
+        work = []
+        for target in ("adgnn.drivers.sample_graph", "adgnn.train.fit_model",
+                       "adgnn.drivers.mc_single_layer_stats"):
+            monkeypatch.setattr(target, lambda *a, _t=target, **kw: work.append(_t))
+        config = {"weight_decay": 0.0, "early_stop_patience": None,
+                  "temperature": 0.1}
+        if kind == "train_eval":
+            config["model"] = "learned"  # soft gating by default
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main([kind.replace("_", "-"), "--config", str(cfg)]) == 2
+        keys = "['early_stop_patience', 'temperature', 'weight_decay']"
+        assert f"config keys {keys} are not read" in capsys.readouterr().err
+        assert work == []
+
     @pytest.mark.parametrize(
         "bad",
-        ['"model": "learned", "temperature": 1e400',
-         '"model": "learned", "temperature": NaN',
-         '"lr": NaN'],
-        ids=["temperature_inf", "temperature_nan", "lr_nan"],
+        ['"lr": NaN', '"lr": 1e400'],
+        ids=["lr_nan", "lr_inf"],
     )
     def test_non_finite_config_float_exits_2(self, tmp_path, capsys, bad):
         # JSON admits NaN and overflows 1e400 to inf; both are config errors
@@ -877,11 +946,11 @@ class TestCli:
         if model is not None:
             base["model"] = model
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(base)[:-1] + ', "temperature": NaN, '
+        cfg.write_text(json.dumps(base)[:-1] + ', "lambda": NaN, '
                        '"gating": "bogus", "head_hidden": -3}')
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
         err = capsys.readouterr().err
-        keys = "['gating', 'head_hidden', 'temperature']"
+        keys = "['gating', 'head_hidden', 'lambda']"
         assert f"config keys {keys} are not read" in err
 
     def test_seeds_flag_overrides_config(self, tmp_path):

@@ -29,8 +29,10 @@ from pathlib import Path
 
 import pytest
 
+from adgnn import drivers
 from adgnn.drivers import _CSBM_DEFAULTS, _MODEL_DEFAULTS, _TRAIN_DEFAULTS
 from adgnn.model import VARIANTS
+from adgnn.train import RunResult, SeedResult
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src/adgnn").glob("*.py"))
@@ -347,3 +349,27 @@ def test_readme_config_keys_match_the_drivers():
     assert keys["train"] == list(_TRAIN_DEFAULTS)
     assert keys["model"] == list(_MODEL_DEFAULTS)
     assert tuple(keys["models"]) == ("plain",) + VARIANTS
+
+
+def test_learned_train_eval_reads_every_documented_default(monkeypatch):
+    # a default left in _TRAIN_DEFAULTS or _MODEL_DEFAULTS after its knob
+    # is gone would stay documented yet be refused as unread; the soft
+    # learned model reads every training key and every model key but
+    # heuristic_name, which the heuristic model alone reads
+    keys = readme_config_keys((ROOT / "README.md").read_text())
+    config = {k: _TRAIN_DEFAULTS[k] for k in keys["train"]}
+    config.update({k: _MODEL_DEFAULTS[k] for k in keys["model"]
+                   if k != "heuristic_name"})
+    config["model"] = "learned"
+    assert config["gating"] == "soft"
+    trained = []
+
+    def stub(model_cfg, tc, seeds, data_for):
+        trained.append((model_cfg, tc))
+        return RunResult((SeedResult(0, 0.5, 0, 0.5, (0.5,), 2.0, (0, 0, 1)),))
+
+    monkeypatch.setattr(drivers, "_train_seeds", stub)
+    drivers.execute(drivers.ExperimentSpec("train_eval", config, seeds=(0,)))
+    (model_cfg, tc), = trained
+    assert (model_cfg.variant, model_cfg.gating) == ("learned", "soft")
+    assert (tc.epochs, tc.lr) == (config["epochs"], config["lr"])

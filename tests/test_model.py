@@ -396,15 +396,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             config(variant="heuristic", heuristic_name="nope")
         with pytest.raises(ValueError):
-            config(gating="soft", temperature=0.0)
-        with pytest.raises(ValueError):
             config(lambda_weight=1.2)
-
-    @pytest.mark.parametrize("field", ["temperature"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_rejects_non_finite_floats(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            config(**{field: value})
 
     def test_param_layout(self):
         cfg = config(t_max=2, kind="sage_mean")

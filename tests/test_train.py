@@ -1,9 +1,8 @@
 """Training loop and aggregation tests.
 
 Covers config validation, the accuracy metric, temperature annealing,
-decoupled weight decay, validation-based model selection bookkeeping,
-early stopping, seed determinism, and end-to-end accuracy on an easy
-synthetic instance.
+validation-based model selection bookkeeping, seed determinism, and
+end-to-end accuracy on an easy synthetic instance.
 """
 
 import numpy as np
@@ -28,7 +27,6 @@ from adgnn.train import (
     fit_model,
     train_model,
 )
-from adgnn.train import _decay_weights
 
 
 def csbm_data(n_per_class, target_h, mean_degree, delta_sq, dim, seed):
@@ -67,12 +65,8 @@ class TestTrainConfig:
             {"epochs": 0},
             {"lr": 0.0},
             {"lr": -1.0},
-            {"weight_decay": -0.1},
-            {"early_stop_patience": 0},
             {"lr": float("nan")},
             {"lr": float("inf")},
-            {"weight_decay": float("nan")},
-            {"weight_decay": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -116,44 +110,17 @@ class TestAccuracy:
 
 class TestAnnealedTemperature:
     def test_halves_every_period(self):
-        assert annealed_temperature(0.1, 0) == 0.1
-        assert annealed_temperature(0.1, 24) == 0.1
-        assert annealed_temperature(0.1, 25) == pytest.approx(0.05)
-        assert annealed_temperature(0.1, 62) == pytest.approx(0.025)
+        assert annealed_temperature(0) == 0.1
+        assert annealed_temperature(24) == 0.1
+        assert annealed_temperature(25) == pytest.approx(0.05)
+        assert annealed_temperature(62) == pytest.approx(0.025)
 
-    def test_floor(self):
-        assert annealed_temperature(0.1, 10_000) == 1e-3
-        assert annealed_temperature(5e-4, 0) == 1e-3
-
-
-class TestDecayWeights:
-    def test_scales_weights_not_thresholds(self, monkeypatch):
+    def test_floor(self, monkeypatch):
         import adgnn.train as train_module
-        from adgnn.model import init_adgnn_params
 
-        params = {"conv1.weight": tensor(np.ones((2, 2)), requires_grad=True)}
-        _decay_weights(params, lr=0.1, wd=0.5)
-        np.testing.assert_allclose(params["conv1.weight"].values, 0.95)
-        # fit_model decays the trunk alone; under hard gating the threshold
-        # scalars get no gradient, so decay is all that could move them
-        decayed = []
-        monkeypatch.setattr(train_module, "_decay_weights",
-                            lambda p, lr, wd: decayed.append(set(p))
-                            or _decay_weights(p, lr, wd))
-        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
-        cfg = AdGnnConfig(backbone=backbone(2), gating="hard")
-        tc = TrainConfig(epochs=2, lr=0.05, weight_decay=0.5)
-        _, best = fit_model(cfg, data, make_split(80, seed=6), tc, seed=0)
-        fresh = init_adgnn_params(cfg, 4, 2, 0)
-        assert len(decayed) == 2
-        assert decayed[0] == {n for n in fresh if not n.startswith("threshold.")}
-        for name in ("threshold.slope_raw", "threshold.intercept_raw"):
-            np.testing.assert_array_equal(best[name], fresh[name].values)
-
-    def test_zero_decay_is_identity(self):
-        params = {"conv1.weight": tensor(np.ones((2, 2)), requires_grad=True)}
-        _decay_weights(params, lr=0.1, wd=0.0)
-        np.testing.assert_array_equal(params["conv1.weight"].values, 1.0)
+        assert annealed_temperature(10_000) == 1e-3
+        monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 5e-4)
+        assert annealed_temperature(0) == 1e-3
 
 
 class TestMultiSeed:
@@ -207,18 +174,10 @@ class TestFitModel:
         logits = plain_forward(cfg, params, graph, tensor(features))
         assert accuracy(logits, labels.labels, split.test) == result.test_accuracy
 
-    def test_early_stopping_patience_arithmetic(self):
-        data = csbm_data(60, 0.95, 10.0, 49.0, 4, seed=2)
-        split = make_split(120, seed=2)
-        tc = TrainConfig(epochs=400, lr=0.05, early_stop_patience=5)
-        result = train_model(backbone(2), data, split, tc, seed=0)
-        assert len(result.val_history) < 400
-        assert len(result.val_history) == result.best_val_epoch + 5 + 1
-
     def test_same_seed_bitwise_deterministic(self):
         data = csbm_data(60, 0.8, 6.0, 4.0, 4, seed=3)
         split = make_split(120, seed=3)
-        tc = TrainConfig(epochs=10, lr=0.02, weight_decay=1e-3)
+        tc = TrainConfig(epochs=10, lr=0.02)
         cfg = backbone(2, dropout=0.3)
         a = train_model(cfg, data, split, tc, seed=7)
         b = train_model(cfg, data, split, tc, seed=7)
@@ -319,13 +278,13 @@ class TestFitModel:
 
 
 class TestAdaptiveTraining:
-    def test_soft_gating_smoke(self):
+    def test_soft_gating_smoke(self, monkeypatch):
+        import adgnn.train as train_module
+
+        monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 0.5)
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=4)
         split = make_split(80, seed=4)
-        cfg = AdGnnConfig(
-            backbone=backbone(2), variant="learned",
-            gating="soft", temperature=0.5,
-        )
+        cfg = AdGnnConfig(backbone=backbone(2), variant="learned", gating="soft")
         tc = TrainConfig(epochs=6, lr=0.01)
         result = train_model(cfg, data, split, tc, seed=0)
         assert 0.0 <= result.test_accuracy <= 1.0
@@ -397,15 +356,14 @@ class TestAdaptiveTraining:
         # Skip the warmup so a soft gradient reaches the thresholds by
         # epoch 0; the warmup itself is pinned in the next test.
         monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 0)
+        monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 0.5)
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
         split = make_split(80, seed=6)
         tc = TrainConfig(epochs=4, lr=0.05)
         init_slope = None
         for gating in ("hard", "soft"):
-            cfg = AdGnnConfig(
-                backbone=backbone(2), variant="learned",
-                gating=gating, temperature=0.5,
-            )
+            cfg = AdGnnConfig(backbone=backbone(2), variant="learned",
+                              gating=gating)
             _, best = fit_model(cfg, data, split, tc, seed=0)
             if init_slope is None:
                 from adgnn.model import init_adgnn_params
@@ -421,7 +379,8 @@ class TestAdaptiveTraining:
                     best["threshold.slope_raw"], init_slope
                 )
 
-    def test_soft_mode_keeps_gates_hard_through_warmup(self):
+    def test_soft_mode_keeps_gates_hard_through_warmup(self, monkeypatch):
+        import adgnn.train as train_module
         from adgnn.model import init_adgnn_params
 
         # Run shorter than the warmup: every epoch trains with hard
@@ -429,10 +388,8 @@ class TestAdaptiveTraining:
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
         split = make_split(80, seed=6)
         tc = TrainConfig(epochs=4, lr=0.05)
-        cfg = AdGnnConfig(
-            backbone=backbone(2), variant="learned",
-            gating="soft", temperature=0.5,
-        )
+        monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 0.5)
+        cfg = AdGnnConfig(backbone=backbone(2), variant="learned", gating="soft")
         _, best = fit_model(cfg, data, split, tc, seed=0)
         fresh = init_adgnn_params(cfg, 4, 2, 0)
         np.testing.assert_array_equal(
@@ -453,11 +410,8 @@ class TestOneForwardPerPass:
                                         variant="fast_degree", gating="hard"),
     }
 
-    @pytest.mark.parametrize("patience", [None, 2], ids=["full", "early_stop"])
     @pytest.mark.parametrize("name", list(CASES))
-    def test_one_train_and_one_eval_forward_per_epoch(
-        self, name, patience, monkeypatch
-    ):
+    def test_one_train_and_one_eval_forward_per_epoch(self, name, monkeypatch):
         import adgnn.train as train_module
 
         # each epoch runs one training forward (with the dropout generator)
@@ -476,12 +430,9 @@ class TestOneForwardPerPass:
             monkeypatch.setattr(train_module, attr, spy)
         data = csbm_data(60, 0.95, 10.0, 49.0, 4, seed=2)
         split = make_split(120, seed=2)
-        tc = TrainConfig(epochs=40, lr=0.05, early_stop_patience=patience)
-        result, _ = fit_model(self.CASES[name], data, split, tc, seed=0)
-        epochs = len(result.val_history)
-        if patience is not None:
-            assert epochs == result.best_val_epoch + patience + 1 < 40
-        assert calls == ["train", "val"] * epochs
+        tc = TrainConfig(epochs=40, lr=0.05)
+        fit_model(self.CASES[name], data, split, tc, seed=0)
+        assert calls == ["train", "val"] * 40
 
     @pytest.mark.parametrize("name", ["learned_soft", "fast_degree_hard"])
     def test_result_is_the_selected_snapshots_evaluation(self, name):
