@@ -50,6 +50,16 @@ TINY = {"n0": 40, "n1": 40, "mean_degree": 5.0, "dim": 4,
         "epochs": 10, "hidden": 8}
 
 
+def record_work(monkeypatch) -> list[str]:
+    """Stub the graph draw, the training run and the Monte Carlo oracle;
+    the returned list names each stub called, so [] means no work ran."""
+    work = []
+    for target in ("adgnn.drivers.sample_graph", "adgnn.train.fit_model",
+                   "adgnn.drivers.mc_single_layer_stats"):
+        monkeypatch.setattr(target, lambda *a, _t=target, **kw: work.append(_t))
+    return work
+
+
 class TestDatasetIO:
     def test_round_trip_identity(self, tmp_path):
         graph, features, labels = small_csbm()
@@ -210,10 +220,7 @@ class TestExperimentSpec:
     ):
         # train-eval used to train seed 0 and then stop on numpy's "expected
         # non-negative integer", which named neither the seed nor the flag
-        work = []
-        for target in ("adgnn.drivers.sample_graph", "adgnn.train.fit_model",
-                       "adgnn.drivers.mc_single_layer_stats"):
-            monkeypatch.setattr(target, lambda *a, _t=target, **kw: work.append(_t))
+        work = record_work(monkeypatch)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**TINY, "data_seed": -1}
                                   if argv[0] == "compare-heuristics" else {}))
@@ -799,10 +806,7 @@ class TestCli:
         # weight decay, early-stopping patience and the base gate
         # temperature are no longer settable; a config that names one is
         # refused by the unread-key check like any other stray key
-        work = []
-        for target in ("adgnn.drivers.sample_graph", "adgnn.train.fit_model",
-                       "adgnn.drivers.mc_single_layer_stats"):
-            monkeypatch.setattr(target, lambda *a, _t=target, **kw: work.append(_t))
+        work = record_work(monkeypatch)
         config = {"weight_decay": 0.0, "early_stop_patience": None,
                   "temperature": 0.1}
         if kind == "train_eval":
