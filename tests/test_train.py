@@ -65,6 +65,8 @@ class TestTrainConfig:
             {"epochs": 0},
             {"lr": 0.0},
             {"lr": -1.0},
+            {"epochs": -1},
+            {"lr": float("-inf")},
             {"lr": float("nan")},
             {"lr": float("inf")},
         ],
