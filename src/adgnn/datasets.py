@@ -66,7 +66,7 @@ def save_dataset(
     return directory
 
 
-def _parse_edges(path: Path) -> list[tuple[int, int]]:
+def _parse_edges(path: Path, num_nodes: int) -> list[tuple[int, int]]:
     pairs = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -79,11 +79,15 @@ def _parse_edges(path: Path) -> list[tuple[int, int]]:
                     f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}"
                 )
             try:
-                pairs.append((int(parts[0]), int(parts[1])))
+                u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: non-integer node id in {raw.strip()!r}"
                 ) from None
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise ValueError(f"{path}:{lineno}: node id out of range "
+                                 f"[0, {num_nodes}) in {raw.strip()!r}")
+            pairs.append((u, v))
     return pairs
 
 
@@ -128,6 +132,8 @@ def _parse_labels(path: Path) -> np.ndarray:
                 raise ValueError(
                     f"{path}:{lineno}: expected one integer label"
                 ) from None
+            if values[-1] < 0:
+                raise ValueError(f"{path}:{lineno}: negative label {values[-1]}")
     if not values:
         raise ValueError(f"{path}: no labels")
     return np.array(values, dtype=np.int64)
@@ -146,23 +152,36 @@ def load_dataset(directory: str | Path) -> tuple[Graph, np.ndarray, LabelVector]
         if not (directory / name).is_file():
             raise FileNotFoundError(f"missing dataset file: {directory / name}")
 
-    y = _parse_labels(directory / LABEL_FILE)
+    label_path = directory / LABEL_FILE
+    y = _parse_labels(label_path)
     features = _parse_features(directory / FEATURE_FILE)
     if features.shape[0] != y.shape[0]:
         raise ValueError(
             f"feature rows ({features.shape[0]}) != label rows ({y.shape[0]})"
         )
-    pairs = _parse_edges(directory / EDGE_FILE)
+    pairs = _parse_edges(directory / EDGE_FILE, y.shape[0])
     graph = build_graph(pairs, num_nodes=y.shape[0])
 
-    num_classes = int(y.max()) + 1 if y.size else 0
+    num_classes = int(y.max()) + 1
+    source = label_path
     meta_path = directory / META_FILE
     if meta_path.is_file():
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        num_classes = meta.get("num_classes", num_classes)
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{meta_path}: invalid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: expected a JSON object, got "
+                             f"{type(meta).__name__}")
+        if "num_classes" in meta:
+            num_classes, source = meta["num_classes"], meta_path
         # bool subclasses int, and a fraction must not truncate to a count
         if isinstance(num_classes, bool) or not isinstance(num_classes, int):
             raise ValueError(f"{meta_path}: num_classes must be an integer, "
                              f"got {num_classes!r}")
+    need = max(2, int(y.max()) + 1)
+    if num_classes < need:
+        raise ValueError(f"{source}: num_classes {num_classes} cannot hold the "
+                         f"labels of {label_path}, which need at least {need}")
     return graph, features, LabelVector(labels=y, num_classes=num_classes)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, train
 from .backbones import BackboneConfig
 from .csbm import (
     ClassStats,
@@ -48,7 +48,6 @@ from .theory import (
     multi_layer_stats,
     signal_preservation_factor,
 )
-from .train import RunResult, TrainConfig, train_model
 
 __all__ = ["KINDS", "ExperimentSpec", "execute", "format_table"]
 
@@ -127,13 +126,17 @@ class ExperimentSpec:
         if not self.seeds:
             default = (0, 1, 2, 3, 4) if self.kind in _MULTI_SEED_KINDS else (0,)
             object.__setattr__(self, "seeds", default)
-        for s in self.seeds:
+        for i, s in enumerate(self.seeds):
             # bool subclasses int, and True must not run seed 1
             if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
                 raise ValueError(f"seeds must be integers, got {s!r}")
             # numpy seeds no generator from a negative integer
             if s < 0:
                 raise ValueError(f"seeds must be non-negative, got {int(s)}")
+            # a repeated seed repeats its run, and a std over the copies
+            # would read as seeds that agree
+            if s in self.seeds[:i]:
+                raise ValueError(f"seeds name seed {int(s)} twice")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
@@ -194,8 +197,8 @@ def _csbm_params(cfg: _Config, homophily: float | None = None) -> CsbmParams:
                       sigma=cfg.read("sigma", float), p_in=p_in, p_out=p_out)
 
 
-def _train_config(cfg: _Config) -> TrainConfig:
-    return TrainConfig(epochs=cfg.read("epochs", int), lr=cfg.read("lr", float))
+def _train_config(cfg: _Config) -> train.TrainConfig:
+    return train.TrainConfig(epochs=cfg.read("epochs", int), lr=cfg.read("lr", float))
 
 
 def _model_config(cfg: _Config, **fixed):
@@ -228,21 +231,34 @@ def _model_config(cfg: _Config, **fixed):
 
 def _train_seeds(
     model_cfg,
-    tc: TrainConfig,
+    tc: train.TrainConfig,
     seeds: tuple[int, ...],
     data_for,
     override_fn=None,
-) -> RunResult:
-    """One training run per seed: data_for(seed) supplies the data, and
-    the same seed keys the split and the initialization."""
+) -> list[train.SeedResult]:
+    """One train.fit_model run per seed, in seed order: data_for(seed)
+    supplies the data, and the same seed keys the split and the
+    initialization.  A wrapper bound in the train module sees every run."""
     results = []
     for s in seeds:
         data = data_for(s)
         split = make_split(data[0].num_nodes, seed=s)
         override = None if override_fn is None else override_fn(data[0])
-        results.append(train_model(model_cfg, data, split, tc, seed=s,
-                                   depth_override=override))
-    return RunResult(tuple(results))
+        results.append(train.fit_model(model_cfg, data, split, tc, seed=s,
+                                       depth_override=override)[0])
+    return results
+
+
+def _accuracy_rows(arms, tc: train.TrainConfig, seeds: tuple[int, ...]) -> list[list]:
+    """One row per arm (cells, model config, data_for, override_fn): its
+    cells, then the mean and population standard deviation over the seeds
+    of the test accuracy."""
+    rows = []
+    for cells, model_cfg, data_for, override_fn in arms:
+        runs = _train_seeds(model_cfg, tc, seeds, data_for, override_fn)
+        acc = np.array([r.test_accuracy for r in runs])
+        rows.append([*cells, float(acc.mean()), float(acc.std())])
+    return rows
 
 
 def _sampled(params: CsbmParams):
@@ -303,7 +319,7 @@ def run_train(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     model_cfg = _model_config(cfg)
     data_for = _data_source(cfg)
     cfg.reject_unread()
-    results = _train_seeds(model_cfg, tc, spec.seeds, data_for).seed_results
+    results = _train_seeds(model_cfg, tc, spec.seeds, data_for)
     header = [
         "seed",
         "test_accuracy",
@@ -409,13 +425,16 @@ def run_sweep_homophily(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     tc = _train_config(cfg)
     model_cfg = _model_config(cfg, model="plain")
     # the grid sets homophily
-    params = [_csbm_params(cfg, homophily=h) for h in grid]
+    arms = [([h], model_cfg, _sampled(_csbm_params(cfg, homophily=h)), None)
+            for h in grid]
     cfg.reject_unread()
-    rows = []
-    for h, p in zip(grid, params):
-        run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(p))
-        rows.append([h, run.mean, run.std])
-    return ["homophily", "acc_mean", "acc_std"], rows
+    return ["homophily", "acc_mean", "acc_std"], _accuracy_rows(arms, tc, spec.seeds)
+
+
+def _degree_cut(cut: int, t_max: int):
+    """The depth plan that keeps every node of degree at most `cut` at its
+    raw features and runs the rest to t_max."""
+    return lambda graph: np.where(degrees(graph) <= cut, 0, t_max)
 
 
 def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
@@ -436,18 +455,9 @@ def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[li
     model_cfg = _model_config(cfg, model="fast_degree", gating="hard",
                               **{"lambda": 0.0})
     cfg.reject_unread()
-    t_max = model_cfg.t_max
-    rows = []
-    for threshold in thresholds:
-        def override_fn(graph, _cut=threshold):
-            deg = degrees(graph)
-            return np.where(deg <= _cut, 0, t_max)
-
-        run = _train_seeds(
-            model_cfg, tc, spec.seeds, _sampled(params), override_fn
-        )
-        rows.append([threshold, run.mean, run.std])
-    return ["threshold", "acc_mean", "acc_std"], rows
+    arms = [([t], model_cfg, _sampled(params), _degree_cut(t, model_cfg.t_max))
+            for t in thresholds]
+    return ["threshold", "acc_mean", "acc_std"], _accuracy_rows(arms, tc, spec.seeds)
 
 
 def run_sweep_depth(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
@@ -460,15 +470,13 @@ def run_sweep_depth(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     tc = _train_config(cfg)
     params = _csbm_params(cfg)
     # the depths grid sets layers
-    models = [(depth, name, _model_config(cfg, layers=depth, **fixed))
-              for depth in depths
-              for name, fixed in (("plain", {"model": "plain"}), ("adaptive", {}))]
+    arms = [([depth, name], _model_config(cfg, layers=depth, **fixed),
+             _sampled(params), None)
+            for depth in depths
+            for name, fixed in (("plain", {"model": "plain"}), ("adaptive", {}))]
     cfg.reject_unread()
-    rows = []
-    for depth, name, model_cfg in models:
-        run = _train_seeds(model_cfg, tc, spec.seeds, _sampled(params))
-        rows.append([depth, name, run.mean, run.std])
-    return ["depth", "model", "acc_mean", "acc_std"], rows
+    header = ["depth", "model", "acc_mean", "acc_std"]
+    return header, _accuracy_rows(arms, tc, spec.seeds)
 
 
 def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
@@ -481,13 +489,10 @@ def run_sweep_lambda(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     tc = _train_config(cfg)
     data_for = _data_source(cfg)
     # the lambdas grid sets lambda
-    models = [_model_config(cfg, **{"lambda": lam}) for lam in lambdas]
+    arms = [([lam], _model_config(cfg, **{"lambda": lam}), data_for, None)
+            for lam in lambdas]
     cfg.reject_unread()
-    rows = []
-    for lam, model_cfg in zip(lambdas, models):
-        run = _train_seeds(model_cfg, tc, spec.seeds, data_for)
-        rows.append([lam, run.mean, run.std])
-    return ["lambda", "acc_mean", "acc_std"], rows
+    return ["lambda", "acc_mean", "acc_std"], _accuracy_rows(arms, tc, spec.seeds)
 
 
 def run_profile_depth_benefit(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
@@ -548,8 +553,8 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
     cfg.reject_unread()
     data = sample_graph(params, seed=data_seed)
     graph = data[0]
-    rows = []
-    for name, model_cfg in zip(names, models):
+    timings = []
+    for name in names:
         if name == "degree":
             score_fn = lambda: degree_similarity(graph)  # noqa: E731
         else:
@@ -563,9 +568,11 @@ def run_compare_heuristics(spec: ExperimentSpec) -> tuple[list[str], list[list]]
             else:
                 score_fn()
             elapsed.append(time.perf_counter() - start)
-        run = _train_seeds(model_cfg, tc, spec.seeds, lambda s: data)
-        rows.append([name, run.mean, run.std, min(elapsed) * 1000.0])
-    return ["heuristic", "acc_mean", "acc_std", "score_compute_ms"], rows
+        timings.append(min(elapsed) * 1000.0)
+    arms = [([n], m, lambda s: data, None) for n, m in zip(names, models)]
+    rows = _accuracy_rows(arms, tc, spec.seeds)
+    header = ["heuristic", "acc_mean", "acc_std", "score_compute_ms"]
+    return header, [row + [ms] for row, ms in zip(rows, timings)]
 
 
 _DISPATCH = {

@@ -1,9 +1,8 @@
-"""Training loop, evaluation metrics, and multi-seed aggregation.
+"""Training loop and evaluation metrics.
 
 Trains either a plain backbone or the adaptive-depth model with Adam on
 the combined objective, selects the parameter snapshot at the best
-validation accuracy, and reports per-seed test accuracy with mean and
-population standard deviation across seeds.
+validation accuracy, and reports that seed's test accuracy.
 """
 
 from __future__ import annotations
@@ -36,11 +35,9 @@ from .model import (
 __all__ = [
     "TrainConfig",
     "SeedResult",
-    "RunResult",
     "annealed_temperature",
     "accuracy",
     "fit_model",
-    "train_model",
 ]
 
 # Soft-gate temperature schedule: start at 0.1, halve every 25 epochs,
@@ -94,28 +91,6 @@ class SeedResult:
     val_history: tuple[float, ...]
     mean_stopping_depth: float
     depth_histogram: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RunResult:
-    seed_results: tuple[SeedResult, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.seed_results) == 0:
-            raise ValueError("a run needs at least one seed result")
-
-    @property
-    def accuracies(self) -> np.ndarray:
-        return np.array([r.test_accuracy for r in self.seed_results])
-
-    @property
-    def mean(self) -> float:
-        return float(self.accuracies.mean())
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation over seeds."""
-        return float(self.accuracies.std())
 
 
 def annealed_temperature(epoch_index: int) -> float:
@@ -247,14 +222,3 @@ def fit_model(
         depth_histogram=() if plan is None else tuple(plan.depth_histogram().tolist()),
     )
     return result, best_values
-
-
-def train_model(
-    cfg: AdGnnConfig | BackboneConfig,
-    data: tuple[Graph, np.ndarray, LabelVector],
-    split: SplitMask,
-    tc: TrainConfig,
-    seed: int,
-    depth_override: np.ndarray | None = None,
-) -> SeedResult:
-    return fit_model(cfg, data, split, tc, seed, depth_override)[0]

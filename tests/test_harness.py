@@ -9,6 +9,7 @@ import ctypes
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -35,7 +36,7 @@ from adgnn import drivers, model
 from adgnn.autodiff import tensor
 from adgnn.model import AdGnnConfig
 from adgnn.backbones import BackboneConfig
-from adgnn.train import TrainConfig, train_model
+from adgnn.train import TrainConfig, fit_model
 
 
 def small_csbm(n_per_class=40, h=0.8, mean_degree=5.0, dim=4, seed=0):
@@ -165,6 +166,48 @@ class TestDatasetIO:
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
         assert "meta.json: num_classes must be an integer" in capsys.readouterr().err
 
+    # each case's error, which names the broken file
+    BROKEN = {
+        "meta_not_json": r"meta\.json: invalid JSON",
+        "meta_not_an_object": r"meta\.json: expected a JSON object, got list",
+        "one_class": r"meta\.json: num_classes 1 cannot hold the labels of "
+                     r".*labels\.csv, which need at least 2",
+        "negative_label": r"labels\.csv:1: negative label -1",
+        "edge_out_of_range": r"edges\.txt:\d+: node id out of range \[0, 40\)",
+    }
+
+    @pytest.mark.parametrize("case", list(BROKEN))
+    def test_malformed_dataset_exits_2_naming_the_file(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        # a list root used to exit 1 on "'list' object has no attribute
+        # 'get'", and the other cases exited 2 with a message naming no file
+        message = self.BROKEN[case]
+        graph, features, labels = small_csbm(n_per_class=20)
+        d = save_dataset(tmp_path / "ds", graph, features, labels)
+        meta, label_file = d / "meta.json", d / "labels.csv"
+        if case == "meta_not_json":
+            meta.write_text("{bad")
+        elif case == "meta_not_an_object":
+            meta.write_text("[1, 2]")
+        elif case == "one_class":
+            meta.write_text(meta.read_text().replace('"num_classes": 2',
+                                                     '"num_classes": 1'))
+        elif case == "negative_label":
+            label_file.write_text("-1\n" + label_file.read_text().split("\n", 1)[1])
+        else:
+            with open(d / "edges.txt", "a") as fh:
+                fh.write("0 99\n")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(d)
+        work = record_work(monkeypatch)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"data": str(d), "epochs": 3, "hidden": 8}))
+        assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err) and str(d) in err
+        assert work == []
+
     def test_missing_directory_and_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
@@ -205,6 +248,31 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"seeds must be non-negative, got "
                                              f"{int(seed)}"):
             ExperimentSpec(kind="train_eval", seeds=(0, seed))
+
+    @pytest.mark.parametrize("seeds, repeated",
+                             [((0, 0), 0), ((3, 1, np.int64(3)), 3)],
+                             ids=["int", "numpy"])
+    def test_repeated_seed_rejected(self, seeds, repeated):
+        with pytest.raises(ValueError, match=f"seeds name seed {repeated} twice"):
+            ExperimentSpec(kind="sweep_homophily", seeds=seeds)
+
+    @pytest.mark.parametrize("flag", [["--seeds", "0,0"], []],
+                             ids=["seeds_flag", "config_seeds"])
+    def test_repeated_seed_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        # two copies of seed 0 used to train twice and write acc_std 0.0,
+        # as if two seeds had agreed
+        work = record_work(monkeypatch)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "grid": [0.9]}
+                                  if flag else {**TINY, "grid": [0.9], "seeds": [2, 2]}))
+        out = tmp_path / "r.csv"
+        assert main(["sweep-homophily", "--config", str(cfg), "--out", str(out)]
+                    + flag) == 2
+        seed = 0 if flag else 2
+        assert f"seeds name seed {seed} twice" in capsys.readouterr().err
+        assert work == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -440,8 +508,9 @@ class TestSweepDegreeThreshold:
             data = sample_graph(csbm, seed=s)
             split = make_split(data[0].num_nodes, seed=s)
             override = np.zeros(data[0].num_nodes, dtype=np.int64)
-            accs.append(train_model(cfg, data, split, tc, seed=s,
-                                    depth_override=override).test_accuracy)
+            result = fit_model(cfg, data, split, tc, seed=s,
+                               depth_override=override)[0]
+            accs.append(result.test_accuracy)
         assert rows[0][1] == pytest.approx(float(np.mean(accs)), abs=1e-12)
 
     def test_negative_threshold_rejected(self):
@@ -761,7 +830,7 @@ class TestCli:
         def broken(*args, **kwargs):
             raise KeyError("conv1.weight")
 
-        monkeypatch.setattr(drivers, "train_model", broken)
+        monkeypatch.setattr("adgnn.train.fit_model", broken)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(TINY))
         assert main(["train-eval", "--config", str(cfg)]) == 1
@@ -1039,8 +1108,9 @@ class TestCli:
                 raise RuntimeError(f"{name} ran before the config was checked")
             return record
 
-        for name in ("sample_graph", "train_model", "mc_single_layer_stats"):
-            monkeypatch.setattr(drivers, name, spy(name))
+        for target in ("adgnn.drivers.sample_graph", "adgnn.train.fit_model",
+                       "adgnn.drivers.mc_single_layer_stats"):
+            monkeypatch.setattr(target, spy(target))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"no_driver_reads_this": 1}))
         out = tmp_path / "out"
@@ -1183,19 +1253,34 @@ class TestBenchmarkTraceTargets:
         fit = tracer.spans[names.index("train.fit_model")]
         assert fit.attrs["epochs"] == len(result.val_history) == 3
 
+    # each training kind's extra keys, and how many arms they make
+    TRAINING_KINDS = {
+        "train_eval": ({"model": "learned"}, 1),
+        "sweep_homophily": ({"grid": [0.5, 0.9]}, 2),
+        "sweep_degree_threshold": ({"thresholds": [0, 2]}, 2),
+        "sweep_depth": ({"depths": [1]}, 2),
+        "sweep_lambda": ({"lambdas": [0.0, 0.5]}, 2),
+        "compare_heuristics": ({"heuristics": ["degree", "jaccard"],
+                                "timing_repeats": 1}, 2),
+    }
+
+    @pytest.mark.parametrize("kind", list(TRAINING_KINDS))
     def test_untraced_cli_run_records_one_fit_span_per_seed(
-        self, tracing, modules, tmp_path
+        self, tracing, modules, tmp_path, kind
     ):
         # the untraced benchmark times the train.fit_model global alone and
         # reads work_per_s off its spans' epochs; a driver that reached
         # fit_model through another binding would record no span, and
         # work_per_s would read 0
+        extra, arms = self.TRAINING_KINDS[kind]
+        assert set(drivers._MULTI_SEED_KINDS) | {"train_eval"} == set(
+            self.TRAINING_KINDS)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": "learned", "n0": 40, "n1": 40,
-                                      "hidden": 8, "epochs": 3}))
+        config.write_text(json.dumps({"n0": 40, "n1": 40, "hidden": 8,
+                                      "epochs": 3, **extra}))
         tracer = tracing.Tracer()
         with tracing.installed(tracer, modules, full=False):
-            assert main(["train-eval", "--config", str(config), "--seeds", "0,1",
-                         "--out", str(tmp_path / "table.csv")]) == 0
+            assert main([kind.replace("_", "-"), "--config", str(config),
+                         "--seeds", "0,1", "--out", str(tmp_path / "table.csv")]) == 0
         fits = [s for s in tracer.spans if s.name == "train.fit_model"]
-        assert [s.attrs["epochs"] for s in fits] == [3, 3]
+        assert [s.attrs["epochs"] for s in fits] == [3] * (2 * arms)

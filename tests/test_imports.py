@@ -32,7 +32,7 @@ import pytest
 from adgnn import drivers
 from adgnn.drivers import _CSBM_DEFAULTS, _MODEL_DEFAULTS, _TRAIN_DEFAULTS
 from adgnn.model import VARIANTS
-from adgnn.train import RunResult, SeedResult
+from adgnn.train import SeedResult
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src/adgnn").glob("*.py"))
@@ -366,7 +366,7 @@ def test_learned_train_eval_reads_every_documented_default(monkeypatch):
 
     def stub(model_cfg, tc, seeds, data_for):
         trained.append((model_cfg, tc))
-        return RunResult((SeedResult(0, 0.5, 0, 0.5, (0.5,), 2.0, (0, 0, 1)),))
+        return [SeedResult(0, 0.5, 0, 0.5, (0.5,), 2.0, (0, 0, 1))]
 
     monkeypatch.setattr(drivers, "_train_seeds", stub)
     drivers.execute(drivers.ExperimentSpec("train_eval", config, seeds=(0,)))

@@ -19,13 +19,11 @@ from adgnn.csbm import (
 from adgnn.graph import build_graph, make_split
 from adgnn.model import AdGnnConfig
 from adgnn.train import (
-    RunResult,
     SeedResult,
     TrainConfig,
     accuracy,
     annealed_temperature,
     fit_model,
-    train_model,
 )
 
 
@@ -128,24 +126,32 @@ class TestAnnealedTemperature:
 class TestMultiSeed:
     def test_mean_and_population_std(self, monkeypatch):
         import adgnn.drivers as drivers_module
+        import adgnn.train as train_module
 
-        # the drivers train one seed at a time and keep the seed order
-        def stub_train(cfg, data, split, tc, seed, depth_override=None):
-            return stub_result(seed, [0.8, 1.0][seed])
+        # the drivers train one seed at a time, through train.fit_model,
+        # and keep the seed order
+        trained = []
 
-        monkeypatch.setattr(drivers_module, "train_model", stub_train)
+        def stub_fit(cfg, data, split, tc, seed, depth_override=None):
+            trained.append(seed)
+            return stub_result(seed, [0.8, 1.0, 0.6][seed]), {}
+
+        monkeypatch.setattr(train_module, "fit_model", stub_fit)
         data = csbm_data(10, 0.8, 3.0, 4.0, 2, seed=0)
-        run = drivers_module._train_seeds(
+        runs = drivers_module._train_seeds(
             backbone(1), TrainConfig(epochs=1), (1, 0), lambda s: data
         )
-        assert isinstance(run, RunResult)
-        assert [r.seed for r in run.seed_results] == [1, 0]
-        assert run.mean == pytest.approx(0.9)
-        assert run.std == pytest.approx(0.1)
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            RunResult(())
+        assert [r.seed for r in runs] == [1, 0]
+        trained.clear()
+        arms = [(["a", 1], backbone(1), lambda s: data, None),
+                (["b", 2], backbone(1), lambda s: data, None)]
+        rows = drivers_module._accuracy_rows(arms, TrainConfig(epochs=1), (1, 0, 2))
+        assert trained == [1, 0, 2, 1, 0, 2]
+        assert [row[:2] for row in rows] == [["a", 1], ["b", 2]]
+        for row in rows:
+            assert row[2] == pytest.approx(0.8)
+            # population std: sqrt(((0.2)^2 + 0 + (0.2)^2) / 3)
+            assert row[3] == pytest.approx(np.sqrt(0.08 / 3))
 
 
 class TestFitModel:
@@ -153,7 +159,7 @@ class TestFitModel:
         data = csbm_data(300, 0.9, 10.0, 4.0, 8, seed=0)
         split = make_split(600, seed=0)
         tc = TrainConfig(epochs=80, lr=0.05)
-        result = train_model(backbone(2, hidden=16), data, split, tc, seed=0)
+        result = fit_model(backbone(2, hidden=16), data, split, tc, seed=0)[0]
         assert result.test_accuracy > 0.9
         assert np.isnan(result.mean_stopping_depth)
         assert result.depth_histogram == ()
@@ -181,8 +187,8 @@ class TestFitModel:
         split = make_split(120, seed=3)
         tc = TrainConfig(epochs=10, lr=0.02)
         cfg = backbone(2, dropout=0.3)
-        a = train_model(cfg, data, split, tc, seed=7)
-        b = train_model(cfg, data, split, tc, seed=7)
+        a = fit_model(cfg, data, split, tc, seed=7)[0]
+        b = fit_model(cfg, data, split, tc, seed=7)[0]
         assert a.test_accuracy == b.test_accuracy
         assert a.val_history == b.val_history
         assert a.best_val_epoch == b.best_val_epoch
@@ -227,11 +233,11 @@ class TestFitModel:
         monkeypatch.setattr(train_module, "init_params",
                             lambda *a: inits.append(a) or init_params(*a))
         with pytest.raises(ValueError, match="depth_override"):
-            train_model(backbone(2), data, split, tc, 0,
+            fit_model(backbone(2), data, split, tc, 0,
                         depth_override=np.zeros(100, dtype=int))
         assert inits == []
         # without an override the plain run is the one it always was
-        result = train_model(backbone(2), data, split, tc, 0)
+        result = fit_model(backbone(2), data, split, tc, 0)[0]
         assert result.val_history == (0.2, 0.35, 0.35, 0.45, 0.45)
         assert (result.best_val_epoch, result.test_accuracy) == (3, 0.45)
 
@@ -275,7 +281,7 @@ class TestFitModel:
         tc = TrainConfig(epochs=5, lr=1e154)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite"):
-                train_model(backbone(2), (graph, features, labels), split,
+                fit_model(backbone(2), (graph, features, labels), split,
                             tc, 0)
 
 
@@ -288,7 +294,7 @@ class TestAdaptiveTraining:
         split = make_split(80, seed=4)
         cfg = AdGnnConfig(backbone=backbone(2), variant="learned", gating="soft")
         tc = TrainConfig(epochs=6, lr=0.01)
-        result = train_model(cfg, data, split, tc, seed=0)
+        result = fit_model(cfg, data, split, tc, seed=0)[0]
         assert 0.0 <= result.test_accuracy <= 1.0
         assert len(result.val_history) == 6
         assert len(result.depth_histogram) == 3
@@ -301,7 +307,7 @@ class TestAdaptiveTraining:
         cfg = AdGnnConfig(backbone=backbone(2),
                           variant="fast_degree", gating="hard")
         tc = TrainConfig(epochs=3, lr=0.01)
-        result = train_model(cfg, data, split, tc, seed=0)
+        result = fit_model(cfg, data, split, tc, seed=0)[0]
         assert sum(result.depth_histogram) == 80
 
     def test_only_learned_trains_the_pair_loss(self, monkeypatch):
