@@ -42,10 +42,10 @@ __all__ = [
 
 # Soft-gate temperature schedule: start at 0.1, halve every 25 epochs,
 # never below 1e-3.  Anneal fast enough that a default-length run reaches
-# the near-hard regime with room to spare.  Evaluation is always hard; a
-# checkpoint selected while the gates are still warm feeds the classifier
-# blended rows, and the frozen rows it meets at eval time look nothing
-# like them.
+# the near-hard regime with room to spare.  Evaluation is always hard, so
+# a soft epoch's training forward cannot stand in for it: a checkpoint
+# selected while the gates are still warm feeds the classifier blended
+# rows, and the frozen rows it meets at eval time look nothing like them.
 _BASE_TEMPERATURE = 0.1
 _ANNEAL_EVERY = 25
 _ANNEAL_FACTOR = 0.5
@@ -99,6 +99,14 @@ def annealed_temperature(epoch_index: int) -> float:
     return max(_BASE_TEMPERATURE * _ANNEAL_FACTOR ** halvings, _TEMPERATURE_FLOOR)
 
 
+def _temperature(soft: bool, epoch: int) -> float | None:
+    """Epoch `epoch`'s gate temperature: None (hard) for a hard-gated model
+    and through the warm-up, then the anneal schedule."""
+    if soft and epoch >= _GATE_WARMUP_EPOCHS:
+        return annealed_temperature(epoch - _GATE_WARMUP_EPOCHS)
+    return None
+
+
 def accuracy(logits, labels: np.ndarray, mask: np.ndarray) -> float:
     """Argmax match rate over the masked rows; argmax takes the lowest
     class index on ties."""
@@ -112,8 +120,9 @@ def accuracy(logits, labels: np.ndarray, mask: np.ndarray) -> float:
 
 def _forward(cfg, params, graph, x, rng, depth_override, temperature) -> ForwardResult:
     """One pass of the model `cfg` builds; a plain backbone's result has no
-    plan and no arc scores.  rng None is the evaluation pass: no dropout.
-    An adaptive model gates soft at `temperature` and hard when it is None."""
+    plan and no arc scores.  rng None applies no dropout, and neither does
+    a backbone whose dropout is 0.  An adaptive model gates soft at
+    `temperature` and hard when it is None."""
     if isinstance(cfg, BackboneConfig):
         logits = plain_forward(cfg, params, graph, x, dropout_rng=rng)
         return ForwardResult(logits, None, None)
@@ -132,13 +141,15 @@ def fit_model(
     """Train one seed and return its result plus the selected parameter
     values (the snapshot at the best validation epoch).
 
-    The test accuracy and the plan behind the mean depth and histogram
-    come from the selected epoch's own evaluation pass.  That pass has no
-    dropout and gates hard, so it is what the snapshot gives again: no
-    forward runs after the epoch loop.  A depth override is a plan for
-    the hard-gated adaptive model; a plain backbone or soft gating rejects
-    it, and so does a plan that is not one integer depth in [0, t_max]
-    per node, before any epoch runs."""
+    Each epoch is evaluated by a hard, dropout-free forward of the
+    parameters after its step.  The next epoch's training forward is that
+    computation when it gates hard at dropout 0, and then serves as the
+    evaluation: a hard-gated run makes epochs + 1 forwards.  The test
+    accuracy, mean depth and histogram come from the selected epoch's
+    evaluation, so they are what the snapshot gives again.  A depth
+    override is a plan for the hard-gated adaptive model; a plain backbone
+    or soft gating rejects it, and so does a plan that is not one integer
+    depth in [0, t_max] per node, before any epoch runs."""
     graph, features, labels = data
     x = tensor(np.asarray(features, dtype=np.float64))
     y = labels.labels
@@ -173,21 +184,39 @@ def fit_model(
     best_val = -1.0
     best_epoch = -1
     best_values: dict[str, np.ndarray] = {}
-    best_out: ForwardResult | None = None
+    best_logits: np.ndarray | None = None
+    best_plan: DepthPlan | None = None
     history: list[float] = []
+
+    def record_eval(out: ForwardResult) -> None:
+        # `out` evaluates the latest step; the best keeps a parameter copy
+        # and its numpy logits and plan, never a taped chain
+        nonlocal best_val, best_epoch, best_values, best_logits, best_plan
+        val_acc = accuracy(out.logits, y, split.val)
+        history.append(val_acc)
+        if val_acc > best_val:
+            best_val = val_acc
+            best_epoch = len(history) - 1
+            best_values = {k: p.values.copy() for k, p in params.items()}
+            best_logits, best_plan = out.logits.values, out.plan
+
+    no_dropout = (cfg.backbone if adaptive else cfg).dropout == 0.0
+
+    def forward_evaluates(k: int) -> bool:
+        # training forward k also evaluates the parameters after step k - 1
+        return 0 < k < tc.epochs and no_dropout and _temperature(soft, k) is None
+
     for epoch in range(tc.epochs):
-        # soft gates open after the hard warm-up and anneal from there;
-        # evaluation always gates hard
-        temperature = (
-            annealed_temperature(epoch - _GATE_WARMUP_EPOCHS)
-            if soft and epoch >= _GATE_WARMUP_EPOCHS else None
-        )
+        # soft gates open after the hard warm-up and anneal from there
+        temperature = _temperature(soft, epoch)
         with Tape() as tape:
             out = _forward(cfg, params, graph, x, rng, depth_override, temperature)
             loss = softmax_cross_entropy(out.logits, y, split.train)
             if needs_reg:
                 reg = regularization_loss(out.arc_probs, pair_arcs, same_label)
                 loss = total_loss(loss, reg)
+        if forward_evaluates(epoch):
+            record_eval(out)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise RuntimeError(
@@ -201,20 +230,13 @@ def fit_model(
         adam_step(trunk, named_grads, state)
         if policy_state is not None:
             adam_step(policy, named_grads, policy_state)
+        if not forward_evaluates(epoch + 1):
+            record_eval(_forward(cfg, params, graph, x, None, depth_override, None))
 
-        val_out = _forward(cfg, params, graph, x, None, depth_override, None)
-        val_acc = accuracy(val_out.logits, y, split.val)
-        history.append(val_acc)
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best_values = {k: p.values.copy() for k, p in params.items()}
-            best_out = val_out
-
-    plan = best_out.plan
+    plan = best_plan
     result = SeedResult(
         seed=seed,
-        test_accuracy=accuracy(best_out.logits, y, split.test),
+        test_accuracy=accuracy(best_logits, y, split.test),
         best_val_epoch=best_epoch,
         best_val_accuracy=best_val,
         val_history=tuple(history),

@@ -335,14 +335,16 @@ class TestAdaptiveTraining:
             assert len(calls) == epochs_with_pair_loss, variant
 
     @pytest.mark.parametrize("gating", ["hard", "soft"])
-    def test_two_head_calls_per_learned_epoch(self, gating, monkeypatch):
+    def test_one_head_call_per_forward(self, gating, monkeypatch):
         import adgnn.model as model_module
         import adgnn.train as train_module
 
-        # the training forward scores every edge once and the pair loss
-        # reads those scores; the validation forward scores them once
-        # more, and nothing runs after the loop.  A two-epoch warm-up
-        # gives the soft run hard and soft epochs
+        # every forward scores every edge once and the pair loss reads the
+        # training forward's scores.  A hard run's training forwards 1-3
+        # double as evaluations, so only the last step is evaluated on its
+        # own: 4 + 1.  A two-epoch warm-up gives the soft run hard and soft
+        # epochs: forward 1 evaluates step 0, and steps 1-3 run their own
+        # evaluation before a soft epoch or the end: 4 + 3
         monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
         rows = []
         real = model_module.pair_probability
@@ -356,7 +358,7 @@ class TestAdaptiveTraining:
         split = make_split(80, seed=5)
         cfg = AdGnnConfig(backbone=backbone(2), gating=gating)
         fit_model(cfg, data, split, TrainConfig(epochs=4, lr=0.01), seed=0)
-        assert rows == [data[0].num_edges] * (2 * 4)
+        assert rows == [data[0].num_edges] * {"hard": 5, "soft": 7}[gating]
 
     def test_threshold_params_move_only_in_soft_mode(self, monkeypatch):
         import adgnn.train as train_module
@@ -418,13 +420,22 @@ class TestOneForwardPerPass:
                                         variant="fast_degree", gating="hard"),
     }
 
+    EXPECTED_FORWARDS = {
+        "plain": ["train"] * 40 + ["val"],
+        "learned_soft": ["train", "train", "val"] + ["train", "val"] * 38,
+        "fast_degree_hard": ["train"] * 40 + ["val"],
+    }
+
     @pytest.mark.parametrize("name", list(CASES))
-    def test_one_train_and_one_eval_forward_per_epoch(self, name, monkeypatch):
+    def test_hard_training_forward_is_the_evaluation(self, name, monkeypatch):
         import adgnn.train as train_module
 
-        # each epoch runs one training forward (with the dropout generator)
-        # and one evaluation forward (without); none runs after the loop.
-        # A two-epoch warm-up gives the soft run hard and soft epochs
+        # training forwards carry the dropout generator, evaluation-only
+        # forwards do not.  A hard training forward at dropout 0 also
+        # evaluates the previous step, so a hard run evaluates on its own
+        # only after the last step.  A two-epoch warm-up gives the soft run
+        # hard and soft epochs: forward 1 evaluates step 0, and every later
+        # step is evaluated on its own, before a soft epoch or the end
         monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
         calls = []
         for attr in ("forward", "plain_forward"):
@@ -440,7 +451,7 @@ class TestOneForwardPerPass:
         split = make_split(120, seed=2)
         tc = TrainConfig(epochs=40, lr=0.05)
         fit_model(self.CASES[name], data, split, tc, seed=0)
-        assert calls == ["train", "val"] * 40
+        assert calls == self.EXPECTED_FORWARDS[name]
 
     @pytest.mark.parametrize("name", ["learned_soft", "fast_degree_hard"])
     def test_result_is_the_selected_snapshots_evaluation(self, name):
@@ -462,3 +473,75 @@ class TestOneForwardPerPass:
         assert accuracy(out.logits, labels.labels, split.test) == result.test_accuracy
         assert out.plan.mean_depth() == result.mean_stopping_depth
         assert tuple(out.plan.depth_histogram()) == result.depth_histogram
+
+    ORACLE_CASES = {
+        "plain_l2": (backbone(2), False),
+        "fast_degree_hard": (AdGnnConfig(backbone=backbone(2),
+                                         variant="fast_degree", gating="hard"), False),
+        "learned_hard": (AdGnnConfig(backbone=backbone(2), gating="hard"), False),
+        "learned_soft": (AdGnnConfig(backbone=backbone(2), gating="soft"), False),
+        "depth_override": (AdGnnConfig(backbone=backbone(2), gating="hard"), True),
+        "plain_dropout": (backbone(2, dropout=0.5), False),
+    }
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_each_epoch_scores_a_fresh_forward_of_its_step(self, name, monkeypatch):
+        import adgnn.train as train_module
+        from adgnn.model import forward, init_adgnn_params
+
+        # an oracle that shares no loop code with fit_model: a spy copies
+        # the parameters each Adam step leaves, and epoch e's validation
+        # accuracy must be that of a fresh untaped hard forward of the
+        # parameters after step e.  A two-epoch warm-up takes the soft run
+        # across the hard-to-soft boundary
+        monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
+        cfg, forced = self.ORACLE_CASES[name]
+        stepped = {"trunk": [], "policy": []}
+        real_step = train_module.adam_step
+
+        def spy(params, grads, state):
+            real_step(params, grads, state)
+            part = "policy" if next(iter(params)).startswith("threshold.") else "trunk"
+            stepped[part].append({n: p.values.copy() for n, p in params.items()})
+
+        monkeypatch.setattr(train_module, "adam_step", spy)
+        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
+        graph, features, labels = data
+        split = make_split(80, seed=6)
+        plan = np.arange(graph.num_nodes) % 3 if forced else None
+        epochs = 12
+        result, best_values = fit_model(cfg, data, split,
+                                        TrainConfig(epochs=epochs, lr=0.05),
+                                        seed=0, depth_override=plan)
+
+        adaptive = isinstance(cfg, AdGnnConfig)
+        assert len(stepped["trunk"]) == epochs
+        assert len(stepped["policy"]) == (epochs if adaptive else 0)
+        init = init_adgnn_params if adaptive else init_params
+        params = init(cfg, features.shape[1], labels.num_classes, 0)
+        x = tensor(features)
+
+        def after_step(e):
+            values = {**stepped["trunk"][e],
+                      **(stepped["policy"][e] if adaptive else {})}
+            assert set(values) == set(params)
+            for n, p in params.items():
+                p.values[:] = values[n]
+            if not adaptive:
+                return values, plain_forward(cfg, params, graph, x), None
+            out = forward(cfg, params, graph, x, depth_override=plan)
+            return values, out.logits, out.plan
+
+        history = [accuracy(after_step(e)[1], labels.labels, split.val)
+                   for e in range(epochs)]
+        assert len(set(history)) > 1  # an epoch shift would show
+        assert result.val_history == tuple(history)
+        assert result.best_val_epoch == int(np.argmax(history))
+        values, logits, best_plan = after_step(result.best_val_epoch)
+        assert result.test_accuracy == accuracy(logits, labels.labels, split.test)
+        assert all(np.array_equal(best_values[n], v) for n, v in values.items())
+        if adaptive:
+            assert result.depth_histogram == tuple(best_plan.depth_histogram())
+            assert result.mean_stopping_depth == best_plan.mean_depth()
+        else:
+            assert result.depth_histogram == ()
