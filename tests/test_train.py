@@ -457,7 +457,7 @@ class TestOneForwardPerPass:
     def test_result_is_the_selected_snapshots_evaluation(self, name):
         from adgnn.model import forward, init_adgnn_params
 
-        # the result read from the best epoch's own evaluation pass equals
+        # the result read from the best epoch's evaluation equals
         # a fresh hard forward of the returned snapshot
         cfg = self.CASES[name]
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
