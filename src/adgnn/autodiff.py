@@ -32,6 +32,7 @@ __all__ = [
     "matmul",
     "add",
     "relu",
+    "relu_values",
     "row_gather",
     "where_rows",
     "scatter_rows",
@@ -190,9 +191,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
+def relu_values(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) with NaN and -0.0 mapped to +0.0, bit for bit
+    np.where(x > 0, x, 0.0) without its per-element branch: fmax drops the
+    NaN, and adding +0.0 turns -0.0 into +0.0 and leaves the rest."""
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0
-    out = _out(np.where(mask, a.values, 0.0), a)
+    out = _out(relu_values(a.values), a)
 
     def bwd(g):
         return (g * mask,)
@@ -209,11 +219,12 @@ def row_gather(a: Tensor, indices: np.ndarray) -> Tensor:
     out = _out(a.values[idx], a)
 
     def bwd(g):
-        # a repeated index sums its gradient rows in index order
-        acc = np.empty_like(a.values)
-        for j in range(a.shape[1]):
-            acc[:, j] = np.bincount(idx, weights=g[:, j], minlength=a.shape[0])
-        return (acc,)
+        # one bin per (row, column) of `a`; a repeated index sums its
+        # gradient rows in index order
+        rows, cols = a.shape
+        bins = (idx[:, None] * cols + np.arange(cols)).ravel()
+        acc = np.bincount(bins, weights=g.ravel(), minlength=rows * cols)
+        return (acc.reshape(rows, cols),)
 
     return _emit(out, (a,), bwd)
 
@@ -279,13 +290,14 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # sparse aggregation
 
 
-_operator_cache: "weakref.WeakKeyDictionary[Graph, dict[str, sp.csr_matrix]]" = weakref.WeakKeyDictionary()
+# graph -> {kind -> (operator, its transpose)}, both CSR
+_operator_cache: "weakref.WeakKeyDictionary[Graph, dict[str, tuple]]" = weakref.WeakKeyDictionary()
 # graph -> {kind -> (rows, those rows of the operator)}: the last row slice
 # taken, which later calls reuse while they ask for the same rows
 _slice_cache: "weakref.WeakKeyDictionary[Graph, dict[str, tuple]]" = weakref.WeakKeyDictionary()
 
 
-def _operator(graph: Graph, kind: str) -> sp.csr_matrix:
+def _operator(graph: Graph, kind: str) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     cached = _operator_cache.get(graph, {}).get(kind)
     if cached is not None:
         return cached
@@ -304,15 +316,16 @@ def _operator(graph: Graph, kind: str) -> sp.csr_matrix:
     else:
         raise ValueError(f"unknown aggregation kind {kind!r}")
     op = op.tocsr()
-    _operator_cache.setdefault(graph, {})[kind] = op
-    return op
+    pair = (op, op.T.tocsr())
+    _operator_cache.setdefault(graph, {})[kind] = pair
+    return pair
 
 
 def _operator_rows(graph: Graph, kind: str, rows: np.ndarray) -> sp.csr_matrix:
     last = _slice_cache.get(graph, {}).get(kind)
     if last is not None and np.array_equal(last[0], rows):
         return last[1]
-    op = _operator(graph, kind)[rows]
+    op = _operator(graph, kind)[0][rows]
     _slice_cache.setdefault(graph, {})[kind] = (rows.copy(), op)
     return op
 
@@ -329,19 +342,22 @@ def spmm(graph: Graph, h: Tensor, kind: str, rows: np.ndarray | None = None) -> 
     if h.shape[0] != graph.num_nodes:
         raise ValueError("feature rows must match node count")
     if rows is None:
-        op = _operator(graph, kind)
+        op, op_t = _operator(graph, kind)
     else:
         idx = np.asarray(rows, dtype=np.int64)
         if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= graph.num_nodes)):
             raise ValueError("rows must be 1-d node indices")
         op = _operator_rows(graph, kind, idx)
+        op_t = op.T
     out = _out(op @ h.values, h)
 
     def bwd(g):
-        # the transpose of a CSR matrix is a CSC view; nothing is copied.
-        # It adds the rows of g in their order, so rows in increasing order
-        # sum as the full operator does with zeros in the rows left out
-        return (op.T @ g,)
+        # the full operator's transpose is kept as CSR, a slice's is its CSC
+        # view.  Both add each output row's terms over the rows of g in
+        # increasing order: the CSR transpose sums as the CSC view does,
+        # and a slice as the full operator does with zeros in the rows
+        # left out
+        return (op_t @ g,)
 
     return _emit(out, (h,), bwd)
 

@@ -32,7 +32,8 @@ __all__ = [
     "canonical_prototypes",
 ]
 
-# doubles per neighbor-draw buffer: small enough to stay in cache while
+# doubles per neighbor-draw buffer, and about the uniforms per block of
+# sample_graph's pair draw: small enough to stay in cache while
 # it is filled, scaled and summed, large enough that each refill
 # amortizes its per-call overhead.  Three single-layer oracle calls
 # (degrees 3, 15 and 20, 100,000 trials) took 1.86, 1.87 and 1.85 s at
@@ -99,6 +100,13 @@ def sample_graph(params: CsbmParams, seed: int) -> tuple[Graph, np.ndarray, Labe
 
     Nodes 0..n0-1 carry label 0, the rest label 1.  Identical seeds give
     bit-identical output.
+
+    Pair (i, j), i < j, is an edge when its uniform from the structure
+    stream is below p_in (same label) or p_out.  The uniforms are drawn in
+    row-major upper-triangle order, (0, 1), (0, 2), ..., (1, 2), ..., in
+    blocks of whole rows of about _DRAW_BUFFER pairs.  Each block's draw
+    continues the stream where the last one stopped, so the block size
+    does not change the draw: it is the draw of one row at a time.
     """
     struct_rng, feat_rng = _streams(seed)
     n = params.n0 + params.n1
@@ -107,21 +115,27 @@ def sample_graph(params: CsbmParams, seed: int) -> tuple[Graph, np.ndarray, Labe
         np.ones(params.n1, dtype=np.int64),
     ])
 
-    rows = []
-    cols = []
-    # one Bernoulli sweep per upper-triangle row; column class decides p
-    for i in range(n - 1):
-        js = np.arange(i + 1, n)
-        p = np.where((js < params.n0) == (i < params.n0), params.p_in, params.p_out)
-        hit = struct_rng.random(n - i - 1) < p
-        if hit.any():
-            picked = js[hit]
-            rows.append(np.full(picked.shape[0], i, dtype=np.int64))
-            cols.append(picked)
-    if rows:
-        edges = np.stack([np.concatenate(rows), np.concatenate(cols)], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    # row i of the upper triangle holds pairs (i, i+1..n-1); starts[i] is
+    # its first pair's place in the row-major flattening
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=starts[1:])
+    p_max = max(params.p_in, params.p_out)
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
+    a = 0
+    while a < n - 1:
+        # rows a..b-1: whole rows, at least one, at most about _DRAW_BUFFER pairs
+        b = max(a + 1, int(np.searchsorted(starts, starts[a] + _DRAW_BUFFER, "right")) - 1)
+        u = struct_rng.random(starts[b] - starts[a])
+        pos = np.flatnonzero(u < p_max)
+        k = pos + starts[a]
+        i = a - 1 + np.searchsorted(starts[a:b], k, "right")
+        j = i + 1 + k - starts[i]
+        hit = u[pos] < np.where((i < params.n0) == (j < params.n0), params.p_in, params.p_out)
+        rows.append(i[hit])
+        cols.append(j[hit])
+        a = b
+    edges = np.stack([np.concatenate(rows), np.concatenate(cols)], axis=1)
     graph = build_graph(edges, num_nodes=n)
 
     dim = params.mu0.shape[0]

@@ -49,10 +49,14 @@ class Graph:
         self.csr_neighbors.flags.writeable = False
 
     def edges(self) -> np.ndarray:
-        """All undirected edges as an (num_edges, 2) array with u < v."""
-        src = self.arc_sources()
-        keep = src < self.csr_neighbors
-        return np.stack([src[keep], self.csr_neighbors[keep]], axis=1)
+        """All undirected edges as an (num_edges, 2) array with u < v.
+        Read-only, built on first call and kept for the graph's lifetime."""
+        return self._edges
+
+    def arc_sources(self) -> np.ndarray:
+        """Source node of every directed arc, aligned with csr_neighbors.
+        Read-only, built on first call and kept for the graph's lifetime."""
+        return self._arc_sources
 
     @cached_property
     def arc_edges(self) -> np.ndarray:
@@ -66,13 +70,22 @@ class Graph:
         # found by binary search on that pair packed into one integer
         key = src * self.num_nodes + dst
         reverse = np.searchsorted(key, dst * self.num_nodes + src)
-        index = np.where(forward, edge, edge[reverse])
-        index.flags.writeable = False
-        return index
+        return _read_only(np.where(forward, edge, edge[reverse]))
 
-    def arc_sources(self) -> np.ndarray:
-        """Source node of every directed arc, aligned with csr_neighbors."""
-        return np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        src = self.arc_sources()
+        keep = src < self.csr_neighbors
+        return _read_only(np.stack([src[keep], self.csr_neighbors[keep]], axis=1))
+
+    @cached_property
+    def _arc_sources(self) -> np.ndarray:
+        return _read_only(np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets)))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -155,20 +168,18 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
         if edges.min() < 0 or edges.max() >= num_nodes:
             raise ValueError("edge endpoint out of range")
         edges = edges[edges[:, 0] != edges[:, 1]]
-    if edges.size:
-        arcs = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        # unique sorts lexicographically, which leaves each neighbor list sorted
-        arcs = np.unique(arcs, axis=0)
-    else:
-        arcs = np.empty((0, 2), dtype=np.int64)
-    counts = np.bincount(arcs[:, 0], minlength=num_nodes)
+    # arc u->v packed as u * n + v: the sorted unique keys are the arcs in
+    # (source, target) order, which leaves each neighbor list sorted
+    keys = np.unique(np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
+                                     edges[:, 1] * num_nodes + edges[:, 0]]))
+    src, dst = np.divmod(keys, num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
     return Graph(
         num_nodes=num_nodes,
-        num_edges=arcs.shape[0] // 2,
+        num_edges=keys.shape[0] // 2,
         csr_offsets=offsets,
-        csr_neighbors=np.ascontiguousarray(arcs[:, 1]),
+        csr_neighbors=dst,
     )
 
 

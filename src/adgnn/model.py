@@ -35,6 +35,7 @@ from .autodiff import (
     _out,
     add,
     binary_cross_entropy,
+    relu_values,
     row_gather,
     scatter_rows,
     tensor,
@@ -240,7 +241,7 @@ def pair_probability(head: SimilarityHead, h_u: Tensor, h_v: Tensor) -> Tensor:
     feats = np.hstack([np.abs(diff), h_u.values * h_v.values])
     z1 = feats @ head.w1.values
     mask = z1 > 0
-    r = np.where(mask, z1, 0.0)
+    r = relu_values(z1)
     p = expit(r @ head.w2.values)
     width = h_u.shape[1]
 

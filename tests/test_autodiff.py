@@ -33,6 +33,17 @@ class TestForwardValues:
         out = ad.relu(tensor([[-1.0, 2.0]]))
         assert np.array_equal(out.values, [[0.0, 2.0]])
 
+    def test_relu_values_match_the_branch_bit_for_bit(self):
+        tiny = np.nextafter(0.0, 1.0)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+                            1.0, -1.0, np.finfo(float).max, -np.finfo(float).max])
+        rng = np.random.default_rng(0)
+        x = np.concatenate([special, rng.standard_normal(64)]).reshape(-1, 4)
+        expected = np.where(x > 0, x, 0.0)
+        assert ad.relu_values(x).tobytes() == expected.tobytes()
+        assert ad.relu(tensor(x)).values.tobytes() == expected.tobytes()
+
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 3))
@@ -86,9 +97,14 @@ class TestTape:
             w = tensor(rng.standard_normal((25, 3)) * scale)
             with Tape() as tape:
                 loss = weighted_mean(ad.row_gather(a, idx), w)
+            g = (1.0 / w.values.size) * w.values
+            got = backward(tape, loss)[a]
             expected = np.zeros((7, 3))
-            np.add.at(expected, idx, (1.0 / w.values.size) * w.values)
-            np.testing.assert_array_equal(backward(tape, loss)[a], expected)
+            np.add.at(expected, idx, g)
+            np.testing.assert_array_equal(got, expected)
+            per_column = np.stack(
+                [np.bincount(idx, weights=g[:, j], minlength=7) for j in range(3)], axis=1)
+            assert got.tobytes() == per_column.tobytes()
 
     def test_backward_requires_recording(self):
         t = Tape()
@@ -337,19 +353,21 @@ class TestSpmmSemantics:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_backward_matches_materialized_transpose(self, kind):
-        # the backward multiplies by the transpose view of the CSR operator;
-        # a materialized CSR transpose gives the same sums bit for bit
+        # the backward multiplies by the cached CSR transpose of the
+        # operator; the CSC transpose view gives the same sums bit for bit
         rng = np.random.default_rng(8)
         n = 40
         g = build_graph(rng.integers(0, 30, size=(60, 2)), n)
         assert np.any(degrees(g) == 0)
-        op = ad._operator(g, kind)
+        op, _ = ad._operator(g, kind)
         h = rand_tensor(rng, n, 5)
         w = tensor(rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-6, 6, (n, 1)))
         with Tape() as tape:
             loss = weighted_mean(ad.spmm(g, h, kind), w)
-        expected = op.T.tocsr() @ ((1.0 / w.values.size) * w.values)
-        np.testing.assert_array_equal(backward(tape, loss)[h], expected)
+        g_out = (1.0 / w.values.size) * w.values
+        got = backward(tape, loss)[h]
+        np.testing.assert_array_equal(got, op.T @ g_out)
+        np.testing.assert_array_equal(got, op.T.tocsr() @ g_out)
 
 
 class TestRowSlices:

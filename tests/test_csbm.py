@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from adgnn import csbm
 from adgnn.csbm import (
     ClassStats,
     CsbmParams,
@@ -25,6 +28,24 @@ def small_params(**over):
     )
     base.update(over)
     return CsbmParams(**base)
+
+
+def row_by_row_sample(params, seed):
+    """Reference draw: one structure-stream call per upper-triangle row,
+    each of its pairs kept below the probability of its label pair, then
+    every feature row from the feature stream."""
+    struct_rng, feat_rng = csbm._streams(seed)
+    n = params.n0 + params.n1
+    edges = []
+    for i in range(n - 1):
+        js = np.arange(i + 1, n)
+        p = np.where((js < params.n0) == (i < params.n0), params.p_in, params.p_out)
+        hit = struct_rng.random(n - i - 1) < p
+        edges.extend((i, j) for j in js[hit])
+    y = np.arange(n) >= params.n0
+    noise = feat_rng.standard_normal((n, params.mu0.shape[0]))
+    features = np.where(y[:, None], params.mu1, params.mu0) + params.sigma * noise
+    return build_graph(edges, num_nodes=n), features
 
 
 class TestParams:
@@ -103,6 +124,31 @@ class TestSampleGraph:
         m0 = x[y.labels == 0].mean(axis=0)
         assert np.allclose(m0, p.mu0, atol=0.05)
         assert np.std(x[y.labels == 0][:, 1]) == pytest.approx(0.5, rel=0.05)
+
+    @pytest.mark.parametrize("n0,n1", [
+        (n0, n1) for n0, n1 in itertools.product([0, 1, 2, 31, 33, 70], repeat=2)
+        if n0 + n1 > 0
+    ])
+    def test_block_draw_matches_row_by_row(self, n0, n1):
+        for p_in, p_out in itertools.product([0.0, 0.05, 0.3, 1.0], repeat=2):
+            for seed in (0, 11):
+                params = small_params(n0=n0, n1=n1, p_in=p_in, p_out=p_out)
+                g, x, _ = sample_graph(params, seed)
+                ref, ref_x = row_by_row_sample(params, seed)
+                assert g.csr_offsets.tobytes() == ref.csr_offsets.tobytes()
+                assert g.csr_neighbors.tobytes() == ref.csr_neighbors.tobytes()
+                assert x.tobytes() == ref_x.tobytes()
+
+    def test_many_block_draw_matches_row_by_row(self):
+        params = small_params(n0=200, n1=200, p_in=0.05, p_out=0.01)
+        # 79,800 pairs: three blocks of whole rows at least
+        assert 400 * 399 // 2 > 2 * csbm._DRAW_BUFFER
+        g, x, _ = sample_graph(params, 4)
+        ref, ref_x = row_by_row_sample(params, 4)
+        assert g.num_edges > 0
+        assert g.csr_offsets.tobytes() == ref.csr_offsets.tobytes()
+        assert g.csr_neighbors.tobytes() == ref.csr_neighbors.tobytes()
+        assert x.tobytes() == ref_x.tobytes()
 
     def test_sigma_zero_features_exact(self):
         p = small_params(sigma=0.0)

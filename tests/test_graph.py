@@ -76,6 +76,29 @@ class TestBuildGraph:
             )
             assert np.all(np.bincount(arc_edge, minlength=g.num_edges) == 2)
 
+    def test_packed_keys_match_lexicographic_unique(self):
+        # arcs of duplicates, self loops and both orientations, sorted as
+        # np.unique over (source, target) rows sorts them
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            e = random_edge_list(rng, n, int(rng.integers(0, 100)))
+            e = np.concatenate([e, e[: len(e) // 3, ::-1], e[: len(e) // 4]])
+            g = build_graph(e, n)
+            e = e[e[:, 0] != e[:, 1]]
+            arcs = np.unique(np.concatenate([e, e[:, ::-1]]).reshape(-1, 2), axis=0)
+            offsets = np.concatenate([[0], np.cumsum(np.bincount(arcs[:, 0], minlength=n))])
+            assert g.csr_offsets.tobytes() == offsets.astype(np.int64).tobytes()
+            assert g.csr_neighbors.tobytes() == arcs[:, 1].astype(np.int64).tobytes()
+
+    def test_edges_and_arc_sources_are_kept_read_only(self):
+        g = build_graph([(0, 2), (1, 2), (2, 3)], num_nodes=4)
+        for values in (g.edges(), g.arc_sources()):
+            assert not values.flags.writeable
+        assert g.edges() is g.edges() and g.arc_sources() is g.arc_sources()
+        np.testing.assert_array_equal(g.edges(), [[0, 2], [1, 2], [2, 3]])
+        np.testing.assert_array_equal(g.arc_sources(), [0, 1, 2, 2, 2, 3])
+
     def test_rebuild_from_edges_is_identity(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
