@@ -48,7 +48,6 @@ split = make_split(data[0].num_nodes, seed=0)
 cfg = AdGnnConfig(
     backbone=BackboneConfig(kind="gcn_rownorm", layers=32, hidden_dim=16),
     variant="learned",
-    gating="soft",
 )
 tc = TrainConfig(epochs=150, lr=0.01)
 result, _ = fit_model(cfg, data, split, tc, seed=0)

@@ -91,9 +91,7 @@ _MODEL_DEFAULTS = {
     "kind": "gcn_symnorm",
     "layers": 2,
     "lambda": 0.0,
-    "gating": "soft",
     "heuristic_name": "common_neighbors",
-    "head_hidden": 16,
 }
 
 _MODEL_NAMES = ("plain",) + VARIANTS
@@ -203,8 +201,8 @@ def _train_config(cfg: _Config) -> train.TrainConfig:
 
 def _model_config(cfg: _Config, **fixed):
     """The backbone, or the adaptive model around it.  A key the driver
-    fixes is not read from the config, and the model reads
-    heuristic_name and head_hidden only where its variant uses them."""
+    fixes is not read from the config, and the heuristic model alone
+    reads heuristic_name."""
     def read(key, of):
         return fixed[key] if key in fixed else cfg.read(key, of)
 
@@ -223,10 +221,8 @@ def _model_config(cfg: _Config, **fixed):
     used = {}
     if name == "heuristic":
         used["heuristic_name"] = read("heuristic_name", str)
-    if name == "learned":
-        used["head_hidden"] = read("head_hidden", int)
     return AdGnnConfig(backbone=backbone, lambda_weight=read("lambda", float),
-                       variant=name, gating=read("gating", str), **used)
+                       variant=name, **used)
 
 
 def _train_seeds(
@@ -452,8 +448,7 @@ def run_sweep_degree_threshold(spec: ExperimentSpec) -> tuple[list[str], list[li
     tc = _train_config(cfg)
     params = _csbm_params(cfg)
     # the forced plan sets every depth, so no gate or threshold key is read
-    model_cfg = _model_config(cfg, model="fast_degree", gating="hard",
-                              **{"lambda": 0.0})
+    model_cfg = _model_config(cfg, model="fast_degree", **{"lambda": 0.0})
     cfg.reject_unread()
     arms = [([t], model_cfg, _sampled(params), _degree_cut(t, model_cfg.t_max))
             for t in thresholds]

@@ -48,7 +48,6 @@ from .theory import estimated_alpha, log_benefit_scores, minmax_normalize
 
 __all__ = [
     "VARIANTS",
-    "GATING_MODES",
     "SimilarityHead",
     "ThresholdFunction",
     "DepthPlan",
@@ -67,7 +66,10 @@ __all__ = [
 ]
 
 VARIANTS = ("learned", "fast_degree", "heuristic")
-GATING_MODES = ("hard", "soft")
+
+# the similarity head's hidden width at every trunk width; deriving it
+# from the trunk would move every learned table at a hidden width not 16
+_HEAD_HIDDEN = 16
 
 # graph -> {score name -> per-arc values}; lives exactly as long as the graph
 _STRUCTURAL_SCORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -154,15 +156,13 @@ class DepthPlan:
 class AdGnnConfig:
     """The adaptive model: its backbone trunk, one conv per allowable depth
     (t_max is the backbone's layer count), and how it scores depth.
-    `gating` is the training recipe that fit_model reads; forward gates
-    soft only at a temperature its caller passes."""
+    `forward` gates soft only at a temperature its caller passes, and
+    `fit_model` passes one unless a depth plan is forced."""
 
     backbone: BackboneConfig
     lambda_weight: float = 0.0
     variant: str = "learned"
     heuristic_name: str = "common_neighbors"
-    gating: str = "hard"
-    head_hidden: int = 16
 
     @property
     def t_max(self) -> int:
@@ -175,10 +175,6 @@ class AdGnnConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.variant == "heuristic" and self.heuristic_name not in HEURISTIC_NAMES:
             raise ValueError(f"heuristic_name must be one of {HEURISTIC_NAMES}")
-        if self.gating not in GATING_MODES:
-            raise ValueError(f"gating must be one of {GATING_MODES}")
-        if self.head_hidden < 1:
-            raise ValueError("head_hidden must be positive")
 
 
 @dataclass(frozen=True)
@@ -211,8 +207,8 @@ def init_adgnn_params(
         if cfg.backbone.kind == "sage_mean":
             params[f"conv{t}.weight_nbr"] = glorot(rng, hidden, hidden)
     params[f"dense{cfg.t_max + 1}.weight"] = glorot(rng, hidden, num_classes)
-    params["head.w1"] = glorot(rng, 2 * hidden, cfg.head_hidden)
-    params["head.w2"] = glorot(rng, cfg.head_hidden, 1)
+    params["head.w1"] = glorot(rng, 2 * hidden, _HEAD_HIDDEN)
+    params["head.w2"] = glorot(rng, _HEAD_HIDDEN, 1)
     params["threshold.slope_raw"] = tensor([[_INIT_SLOPE_RAW]], requires_grad=True)
     params["threshold.intercept_raw"] = tensor(
         [[_INIT_INTERCEPT_RAW]], requires_grad=True

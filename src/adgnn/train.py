@@ -35,7 +35,6 @@ from .model import (
 __all__ = [
     "TrainConfig",
     "SeedResult",
-    "annealed_temperature",
     "accuracy",
     "fit_model",
 ]
@@ -93,18 +92,13 @@ class SeedResult:
     depth_histogram: tuple[int, ...]
 
 
-def annealed_temperature(epoch_index: int) -> float:
-    """The soft-gate temperature `epoch_index` epochs after the warm-up."""
-    halvings = epoch_index // _ANNEAL_EVERY
-    return max(_BASE_TEMPERATURE * _ANNEAL_FACTOR ** halvings, _TEMPERATURE_FLOOR)
-
-
 def _temperature(soft: bool, epoch: int) -> float | None:
-    """Epoch `epoch`'s gate temperature: None (hard) for a hard-gated model
+    """Epoch `epoch`'s gate temperature: None (hard) for a hard-gated run
     and through the warm-up, then the anneal schedule."""
-    if soft and epoch >= _GATE_WARMUP_EPOCHS:
-        return annealed_temperature(epoch - _GATE_WARMUP_EPOCHS)
-    return None
+    if not soft or epoch < _GATE_WARMUP_EPOCHS:
+        return None
+    halvings = (epoch - _GATE_WARMUP_EPOCHS) // _ANNEAL_EVERY
+    return max(_BASE_TEMPERATURE * _ANNEAL_FACTOR ** halvings, _TEMPERATURE_FLOOR)
 
 
 def accuracy(logits, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -146,21 +140,24 @@ def fit_model(
     computation when it gates hard at dropout 0, and then serves as the
     evaluation: a hard-gated run makes epochs + 1 forwards.  The test
     accuracy, mean depth and histogram come from the selected epoch's
-    evaluation, so they are what the snapshot gives again.  A depth
-    override is a plan for the hard-gated adaptive model; a plain backbone
-    or soft gating rejects it, and so does a plan that is not one integer
-    depth in [0, t_max] per node, before any epoch runs."""
+    evaluation, so they are what the snapshot gives again.  An adaptive
+    model gates soft after a hard warm-up, unless a depth override forces
+    its plan: then it gates hard at every epoch.  Before any forward, a
+    split with an empty role fails, and so does an override on a plain
+    backbone or one that is not an integer depth in [0, t_max] per node."""
     graph, features, labels = data
     x = tensor(np.asarray(features, dtype=np.float64))
     y = labels.labels
+    for role in ("train", "val", "test"):
+        if not getattr(split, role).any():
+            raise ValueError(f"the split has no {role} node among "
+                             f"{split.roles.size} nodes")
     adaptive = isinstance(cfg, AdGnnConfig)
-    soft = adaptive and cfg.gating == "soft"
+    soft = adaptive and depth_override is None
     if depth_override is not None:
         if not adaptive:
             raise ValueError("depth_override needs an adaptive model; a plain "
                              "backbone has no depth plan")
-        if soft:
-            raise ValueError("forced depth plans run hard gating")
         # the plan every forward builds from the override, checked once
         # before any epoch runs
         DepthPlan(np.asarray(depth_override), np.zeros(graph.num_nodes), cfg.t_max)

@@ -226,7 +226,7 @@ def test_08_full_depth_reduction():
             hidden_dim=int(rng.integers(3, 6)), dropout=0.0,
         )
         # instances 0-8 pair each kind with each variant
-        cfg = AdGnnConfig(backbone=bb, variant=VARIANTS[i // 3 % 3], gating="hard")
+        cfg = AdGnnConfig(backbone=bb, variant=VARIANTS[i // 3 % 3])
         in_dim = int(rng.integers(2, 6))
         classes = int(rng.integers(2, 5))
         params = init_adgnn_params(cfg, in_dim, classes, seed=3000 + i)
@@ -304,7 +304,7 @@ def _gradcheck_soft_gates():
     rng = np.random.default_rng(93)
     bb = BackboneConfig(kind="gcn_rownorm", layers=2, hidden_dim=3, dropout=0.0)
     cfg = AdGnnConfig(
-        backbone=bb, variant="learned", lambda_weight=0.1, head_hidden=4,
+        backbone=bb, variant="learned", lambda_weight=0.1,
     )
     worst, checked = 0.0, 0
     while checked < 20:
@@ -433,7 +433,7 @@ def test_10_structural_invariants():
         graph = _random_graph(rng3, n, 2 * n)
         bb = BackboneConfig(kind="gcn_rownorm", layers=t_max, hidden_dim=3,
                             dropout=0.0)
-        cfg = AdGnnConfig(backbone=bb, variant="fast_degree", gating="hard")
+        cfg = AdGnnConfig(backbone=bb, variant="fast_degree")
         params = init_adgnn_params(cfg, 3, 2, seed=5000 + case)
         x = tensor(rng3.standard_normal((n, 3)))
         override = rng3.integers(0, t_max + 1, size=n)

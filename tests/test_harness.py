@@ -501,8 +501,7 @@ class TestSweepDegreeThreshold:
         tc = TrainConfig(epochs=10, lr=0.01)
         bb = BackboneConfig(kind="gcn_symnorm", layers=2, hidden_dim=8,
                             dropout=0.0)
-        cfg = AdGnnConfig(backbone=bb, variant="fast_degree",
-                          gating="hard")
+        cfg = AdGnnConfig(backbone=bb, variant="fast_degree")
         accs = []
         for s in (0, 1):
             data = sample_graph(csbm, seed=s)
@@ -538,8 +537,7 @@ class TestSweepDepth:
         # configure the adaptive rows
         spec = ExperimentSpec(
             kind="sweep_depth",
-            parameters={**TINY, "epochs": 2, "depths": [1], "lambda": 0.1,
-                        "gating": "soft", "head_hidden": 4},
+            parameters={**TINY, "epochs": 2, "depths": [1], "lambda": 0.1},
             seeds=(0,),
         )
         _, rows = execute(spec)
@@ -879,7 +877,7 @@ class TestCli:
         config = {"weight_decay": 0.0, "early_stop_patience": None,
                   "temperature": 0.1}
         if kind == "train_eval":
-            config["model"] = "learned"  # soft gating by default
+            config["model"] = "learned"  # the model that gates soft
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         assert main([kind.replace("_", "-"), "--config", str(cfg)]) == 2
@@ -977,24 +975,30 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra, key",
-        [('"model": "learned", "heuristic_name": "jaccard"', "heuristic_name"),
-         ('"model": "fast_degree", "head_hidden": 99', "head_hidden"),
-         ('"model": "heuristic", "head_hidden": 3', "head_hidden"),
+        "extra, keys",
+        [('"model": "learned", "heuristic_name": "jaccard"', ["heuristic_name"]),
+         ('"model": "fast_degree", "head_hidden": 99', ["head_hidden"]),
+         ('"model": "heuristic", "head_hidden": 3', ["head_hidden"]),
          ('"model": "learned", "gating": "hard", "temperature": 0.2',
-          "temperature")],
+          ["gating", "temperature"]),
+         ('"model": "learned", "gating": "hard"', ["gating"]),
+         ('"model": "learned", "head_hidden": 16', ["head_hidden"])],
         ids=["learned_heuristic_name", "fast_degree_head_hidden",
-             "heuristic_head_hidden", "hard_temperature"],
+             "heuristic_head_hidden", "hard_temperature", "learned_gating",
+             "learned_head_hidden"],
     )
     def test_model_key_the_model_never_reads_exits_2(
-        self, tmp_path, capsys, extra, key
+        self, tmp_path, capsys, monkeypatch, extra, keys
     ):
         # each of these configs used to give the table of the same config
-        # without the key
+        # without the keys.  No model reads gating or head_hidden: training
+        # gates soft unless a plan is forced, and the head is 16 wide
+        work = record_work(monkeypatch)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**TINY, "epochs": 2})[:-1] + ", " + extra + "}")
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
-        assert f"config keys [{key!r}] are not read" in capsys.readouterr().err
+        assert f"config keys {keys!r} are not read" in capsys.readouterr().err
+        assert work == []
 
     @pytest.mark.parametrize(
         "command, extra, key",
@@ -1013,17 +1017,17 @@ class TestCli:
 
     @pytest.mark.parametrize("model", [None, "plain"], ids=["default", "plain"])
     def test_plain_train_eval_rejects_adaptive_keys(self, tmp_path, capsys, model):
-        # a plain backbone has no gates, head or thresholds; these keys used
-        # to be ignored whatever their value
+        # a plain backbone has no scores or thresholds; these keys used to
+        # be ignored whatever their value
         base = {**TINY, "epochs": 2}
         if model is not None:
             base["model"] = model
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(base)[:-1] + ', "lambda": NaN, '
-                       '"gating": "bogus", "head_hidden": -3}')
+                       '"heuristic_name": "bogus"}')
         assert main(["train-eval", "--config", str(cfg), "--seeds", "0"]) == 2
         err = capsys.readouterr().err
-        keys = "['gating', 'head_hidden', 'lambda']"
+        keys = "['heuristic_name', 'lambda']"
         assert f"config keys {keys} are not read" in err
 
     def test_seeds_flag_overrides_config(self, tmp_path):

@@ -353,15 +353,14 @@ def test_readme_config_keys_match_the_drivers():
 
 def test_learned_train_eval_reads_every_documented_default(monkeypatch):
     # a default left in _TRAIN_DEFAULTS or _MODEL_DEFAULTS after its knob
-    # is gone would stay documented yet be refused as unread; the soft
-    # learned model reads every training key and every model key but
+    # is gone would stay documented yet be refused as unread; the learned
+    # model reads every training key and every model key but
     # heuristic_name, which the heuristic model alone reads
     keys = readme_config_keys((ROOT / "README.md").read_text())
     config = {k: _TRAIN_DEFAULTS[k] for k in keys["train"]}
     config.update({k: _MODEL_DEFAULTS[k] for k in keys["model"]
                    if k != "heuristic_name"})
     config["model"] = "learned"
-    assert config["gating"] == "soft"
     trained = []
 
     def stub(model_cfg, tc, seeds, data_for):
@@ -371,5 +370,5 @@ def test_learned_train_eval_reads_every_documented_default(monkeypatch):
     monkeypatch.setattr(drivers, "_train_seeds", stub)
     drivers.execute(drivers.ExperimentSpec("train_eval", config, seeds=(0,)))
     (model_cfg, tc), = trained
-    assert (model_cfg.variant, model_cfg.gating) == ("learned", "soft")
+    assert (model_cfg.variant, model_cfg.lambda_weight) == ("learned", config["lambda"])
     assert (tc.epochs, tc.lr) == (config["epochs"], config["lr"])

@@ -16,13 +16,13 @@ from adgnn.csbm import (
     homophily_from_target,
     sample_graph,
 )
-from adgnn.graph import build_graph, make_split
+from adgnn.graph import LabelVector, SplitMask, build_graph, make_split
 from adgnn.model import AdGnnConfig
 from adgnn.train import (
     SeedResult,
     TrainConfig,
+    _temperature,
     accuracy,
-    annealed_temperature,
     fit_model,
 )
 
@@ -109,18 +109,21 @@ class TestAccuracy:
 
 
 class TestAnnealedTemperature:
+    # the schedule counts epochs from the end of the 30-epoch warm-up
     def test_halves_every_period(self):
-        assert annealed_temperature(0) == 0.1
-        assert annealed_temperature(24) == 0.1
-        assert annealed_temperature(25) == pytest.approx(0.05)
-        assert annealed_temperature(62) == pytest.approx(0.025)
+        assert _temperature(True, 29) is None
+        assert _temperature(True, 30) == 0.1
+        assert _temperature(True, 54) == 0.1
+        assert _temperature(True, 55) == pytest.approx(0.05)
+        assert _temperature(True, 92) == pytest.approx(0.025)
+        assert _temperature(False, 92) is None
 
     def test_floor(self, monkeypatch):
         import adgnn.train as train_module
 
-        assert annealed_temperature(10_000) == 1e-3
+        assert _temperature(True, 10_030) == 1e-3
         monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 5e-4)
-        assert annealed_temperature(0) == 1e-3
+        assert _temperature(True, 30) == 1e-3
 
 
 class TestMultiSeed:
@@ -242,19 +245,17 @@ class TestFitModel:
         assert (result.best_val_epoch, result.test_accuracy) == (3, 0.45)
 
     @pytest.mark.parametrize(
-        "gating, override, match",
+        "override, match",
         [
-            ("soft", np.zeros(80, dtype=np.int64), "hard gating"),
-            ("hard", np.full(80, 1.5), "integers"),
-            ("hard", np.zeros(79, dtype=np.int64), "align"),
-            ("hard", np.full(80, 3, dtype=np.int64), r"\[0, t_max\]"),
-            ("hard", np.full(80, -1, dtype=np.int64), r"\[0, t_max\]"),
+            (np.full(80, 1.5), "integers"),
+            (np.zeros(79, dtype=np.int64), "align"),
+            (np.full(80, 3, dtype=np.int64), r"\[0, t_max\]"),
+            (np.full(80, -1, dtype=np.int64), r"\[0, t_max\]"),
         ],
-        ids=["soft_gating", "non_integer", "wrong_shape", "above_t_max",
-             "negative"],
+        ids=["non_integer", "wrong_shape", "above_t_max", "negative"],
     )
     def test_bad_depth_plan_fails_before_any_forward(
-        self, gating, override, match, monkeypatch
+        self, override, match, monkeypatch
     ):
         import adgnn.train as train_module
 
@@ -262,11 +263,32 @@ class TestFitModel:
         monkeypatch.setattr(train_module, "forward",
                             lambda *a, **kw: forwards.append(a))
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
-        cfg = AdGnnConfig(backbone=backbone(2), variant="fast_degree",
-                          gating=gating)
+        cfg = AdGnnConfig(backbone=backbone(2), variant="fast_degree")
         with pytest.raises(ValueError, match=match):
             fit_model(cfg, data, make_split(80, seed=5), TrainConfig(epochs=40),
                       seed=0, depth_override=override)
+        assert forwards == []
+
+    @pytest.mark.parametrize("role", ["train", "val", "test"])
+    def test_split_with_an_empty_role_fails_before_any_forward(
+        self, role, monkeypatch
+    ):
+        import adgnn.train as train_module
+
+        # a three-node dataset gets no test node from make_split; its run
+        # used to train every epoch and then fail on an empty evaluation
+        # mask, without naming the role
+        forwards = []
+        monkeypatch.setattr(train_module, "forward",
+                            lambda *a, **kw: forwards.append(a))
+        data = csbm_data(20, 0.8, 6.0, 4.0, 4, seed=5)
+        roles = make_split(40, seed=5).roles.copy()
+        code = {"train": 0, "val": 1, "test": 2}[role]
+        roles[roles == code] = (code + 1) % 3
+        with pytest.raises(ValueError,
+                           match=f"the split has no {role} node among 40 nodes"):
+            fit_model(AdGnnConfig(backbone=backbone(2)), data,
+                      SplitMask(roles, seed=5), TrainConfig(epochs=3), seed=0)
         assert forwards == []
 
     def test_divergence_raises(self):
@@ -274,8 +296,6 @@ class TestFitModel:
         # loop must fail loudly instead of selecting a garbage snapshot
         graph = build_graph([(i, (i + 1) % 10) for i in range(10)], 10)
         features = np.random.default_rng(0).normal(size=(10, 2))
-        from adgnn.graph import LabelVector
-
         labels = LabelVector(labels=np.arange(10) % 2, num_classes=2)
         split = make_split(10, seed=0)
         tc = TrainConfig(epochs=5, lr=1e154)
@@ -292,7 +312,7 @@ class TestAdaptiveTraining:
         monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 0.5)
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=4)
         split = make_split(80, seed=4)
-        cfg = AdGnnConfig(backbone=backbone(2), variant="learned", gating="soft")
+        cfg = AdGnnConfig(backbone=backbone(2), variant="learned")
         tc = TrainConfig(epochs=6, lr=0.01)
         result = fit_model(cfg, data, split, tc, seed=0)[0]
         assert 0.0 <= result.test_accuracy <= 1.0
@@ -302,13 +322,14 @@ class TestAdaptiveTraining:
         assert 0.0 <= result.mean_stopping_depth <= 2.0
 
     def test_fast_degree_hard_gating_smoke(self):
+        # a forced plan is the one hard-gated training
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
         split = make_split(80, seed=5)
-        cfg = AdGnnConfig(backbone=backbone(2),
-                          variant="fast_degree", gating="hard")
+        cfg = AdGnnConfig(backbone=backbone(2), variant="fast_degree")
         tc = TrainConfig(epochs=3, lr=0.01)
-        result = fit_model(cfg, data, split, tc, seed=0)[0]
-        assert sum(result.depth_histogram) == 80
+        plan = np.arange(80) % 3
+        result = fit_model(cfg, data, split, tc, seed=0, depth_override=plan)[0]
+        assert result.depth_histogram == tuple(np.bincount(plan))
 
     def test_only_learned_trains_the_pair_loss(self, monkeypatch):
         import adgnn.train as train_module
@@ -340,11 +361,12 @@ class TestAdaptiveTraining:
         import adgnn.train as train_module
 
         # every forward scores every edge once and the pair loss reads the
-        # training forward's scores.  A hard run's training forwards 1-3
-        # double as evaluations, so only the last step is evaluated on its
-        # own: 4 + 1.  A two-epoch warm-up gives the soft run hard and soft
-        # epochs: forward 1 evaluates step 0, and steps 1-3 run their own
-        # evaluation before a soft epoch or the end: 4 + 3
+        # training forward's scores.  A forced plan trains hard: training
+        # forwards 1-3 double as evaluations, so only the last step is
+        # evaluated on its own: 4 + 1.  The model's own plan trains soft,
+        # and a two-epoch warm-up gives it hard and soft epochs: forward 1
+        # evaluates step 0, and steps 1-3 run their own evaluation before
+        # a soft epoch or the end: 4 + 3
         monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
         rows = []
         real = model_module.pair_probability
@@ -356,25 +378,27 @@ class TestAdaptiveTraining:
         monkeypatch.setattr(model_module, "pair_probability", spy)
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=5)
         split = make_split(80, seed=5)
-        cfg = AdGnnConfig(backbone=backbone(2), gating=gating)
-        fit_model(cfg, data, split, TrainConfig(epochs=4, lr=0.01), seed=0)
+        plan = np.arange(80) % 3 if gating == "hard" else None
+        fit_model(AdGnnConfig(backbone=backbone(2)), data, split,
+                  TrainConfig(epochs=4, lr=0.01), seed=0, depth_override=plan)
         assert rows == [data[0].num_edges] * {"hard": 5, "soft": 7}[gating]
 
     def test_threshold_params_move_only_in_soft_mode(self, monkeypatch):
         import adgnn.train as train_module
 
         # Skip the warmup so a soft gradient reaches the thresholds by
-        # epoch 0; the warmup itself is pinned in the next test.
+        # epoch 0; the warmup itself is pinned in the next test.  A forced
+        # plan trains hard, the model's own plan soft.
         monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 0)
         monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 0.5)
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
         split = make_split(80, seed=6)
         tc = TrainConfig(epochs=4, lr=0.05)
+        cfg = AdGnnConfig(backbone=backbone(2), variant="learned")
         init_slope = None
         for gating in ("hard", "soft"):
-            cfg = AdGnnConfig(backbone=backbone(2), variant="learned",
-                              gating=gating)
-            _, best = fit_model(cfg, data, split, tc, seed=0)
+            plan = np.arange(80) % 3 if gating == "hard" else None
+            _, best = fit_model(cfg, data, split, tc, seed=0, depth_override=plan)
             if init_slope is None:
                 from adgnn.model import init_adgnn_params
 
@@ -399,7 +423,7 @@ class TestAdaptiveTraining:
         split = make_split(80, seed=6)
         tc = TrainConfig(epochs=4, lr=0.05)
         monkeypatch.setattr(train_module, "_BASE_TEMPERATURE", 0.5)
-        cfg = AdGnnConfig(backbone=backbone(2), variant="learned", gating="soft")
+        cfg = AdGnnConfig(backbone=backbone(2), variant="learned")
         _, best = fit_model(cfg, data, split, tc, seed=0)
         fresh = init_adgnn_params(cfg, 4, 2, 0)
         np.testing.assert_array_equal(
@@ -410,14 +434,41 @@ class TestAdaptiveTraining:
             fresh["threshold.intercept_raw"].values,
         )
 
+    @pytest.mark.parametrize("forced", [True, False], ids=["forced_plan", "own_plan"])
+    def test_only_a_forced_plan_gates_hard_at_every_epoch(self, forced, monkeypatch):
+        import adgnn.train as train_module
+
+        # training forwards carry the dropout generator; the evaluations
+        # pass none and always gate hard.  A forced plan trains hard at
+        # every epoch; the model's own plan trains hard through the
+        # warm-up, then at 0.1, halved after 25 epochs
+        monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
+        seen = {"train": [], "val": []}
+        real = train_module.forward
+
+        def spy(*args, **kwargs):
+            role = "val" if kwargs["dropout_rng"] is None else "train"
+            seen[role].append(kwargs["temperature"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "forward", spy)
+        data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
+        plan = np.arange(80) % 3 if forced else None
+        fit_model(AdGnnConfig(backbone=backbone(2)), data, make_split(80, seed=6),
+                  TrainConfig(epochs=30, lr=0.01), seed=0, depth_override=plan)
+        expected = [None] * 30 if forced else [None] * 2 + [0.1] * 25 + [0.05] * 3
+        assert seen["train"] == expected
+        assert seen["val"] and set(seen["val"]) == {None}
+
 
 class TestOneForwardPerPass:
+    # (model, whether a plan is forced); a forced plan is the one
+    # hard-gated training
     CASES = {
-        "plain": backbone(2),
-        "learned_soft": AdGnnConfig(backbone=backbone(2),
-                                    variant="learned", gating="soft"),
-        "fast_degree_hard": AdGnnConfig(backbone=backbone(2),
-                                        variant="fast_degree", gating="hard"),
+        "plain": (backbone(2), False),
+        "learned_soft": (AdGnnConfig(backbone=backbone(2), variant="learned"), False),
+        "fast_degree_hard": (AdGnnConfig(backbone=backbone(2), variant="fast_degree"),
+                             True),
     }
 
     EXPECTED_FORWARDS = {
@@ -450,7 +501,9 @@ class TestOneForwardPerPass:
         data = csbm_data(60, 0.95, 10.0, 49.0, 4, seed=2)
         split = make_split(120, seed=2)
         tc = TrainConfig(epochs=40, lr=0.05)
-        fit_model(self.CASES[name], data, split, tc, seed=0)
+        cfg, forced = self.CASES[name]
+        plan = np.arange(120) % 3 if forced else None
+        fit_model(cfg, data, split, tc, seed=0, depth_override=plan)
         assert calls == self.EXPECTED_FORWARDS[name]
 
     @pytest.mark.parametrize("name", ["learned_soft", "fast_degree_hard"])
@@ -459,29 +512,32 @@ class TestOneForwardPerPass:
 
         # the result read from the best epoch's evaluation equals
         # a fresh hard forward of the returned snapshot
-        cfg = self.CASES[name]
+        cfg, forced = self.CASES[name]
+        plan = np.arange(80) % 3 if forced else None
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
         graph, features, labels = data
         split = make_split(80, seed=6)
         tc = TrainConfig(epochs=40, lr=0.05)
-        result, best_values = fit_model(cfg, data, split, tc, seed=0)
+        result, best_values = fit_model(cfg, data, split, tc, seed=0,
+                                        depth_override=plan)
         assert result.best_val_epoch < 39  # later epochs moved the weights
         params = init_adgnn_params(cfg, features.shape[1], labels.num_classes, 0)
         for name_, p in params.items():
             p.values[:] = best_values[name_]
-        out = forward(cfg, params, graph, tensor(features))
+        out = forward(cfg, params, graph, tensor(features), depth_override=plan)
         assert accuracy(out.logits, labels.labels, split.test) == result.test_accuracy
         assert out.plan.mean_depth() == result.mean_stopping_depth
         assert tuple(out.plan.depth_histogram()) == result.depth_histogram
 
+    # (model, forced plan or None) over 80 nodes; a forced plan trains hard
     ORACLE_CASES = {
-        "plain_l2": (backbone(2), False),
-        "fast_degree_hard": (AdGnnConfig(backbone=backbone(2),
-                                         variant="fast_degree", gating="hard"), False),
-        "learned_hard": (AdGnnConfig(backbone=backbone(2), gating="hard"), False),
-        "learned_soft": (AdGnnConfig(backbone=backbone(2), gating="soft"), False),
-        "depth_override": (AdGnnConfig(backbone=backbone(2), gating="hard"), True),
-        "plain_dropout": (backbone(2, dropout=0.5), False),
+        "plain_l2": (backbone(2), None),
+        "fast_degree_hard": (AdGnnConfig(backbone=backbone(2), variant="fast_degree"),
+                             np.arange(80) % 3),
+        "learned_hard": (AdGnnConfig(backbone=backbone(2)), np.full(80, 2)),
+        "learned_soft": (AdGnnConfig(backbone=backbone(2)), None),
+        "depth_override": (AdGnnConfig(backbone=backbone(2)), np.arange(80) % 3),
+        "plain_dropout": (backbone(2, dropout=0.5), None),
     }
 
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
@@ -495,7 +551,7 @@ class TestOneForwardPerPass:
         # parameters after step e.  A two-epoch warm-up takes the soft run
         # across the hard-to-soft boundary
         monkeypatch.setattr(train_module, "_GATE_WARMUP_EPOCHS", 2)
-        cfg, forced = self.ORACLE_CASES[name]
+        cfg, plan = self.ORACLE_CASES[name]
         stepped = {"trunk": [], "policy": []}
         real_step = train_module.adam_step
 
@@ -508,7 +564,6 @@ class TestOneForwardPerPass:
         data = csbm_data(40, 0.8, 6.0, 4.0, 4, seed=6)
         graph, features, labels = data
         split = make_split(80, seed=6)
-        plan = np.arange(graph.num_nodes) % 3 if forced else None
         epochs = 12
         result, best_values = fit_model(cfg, data, split,
                                         TrainConfig(epochs=epochs, lr=0.05),
