@@ -3,9 +3,10 @@
 Just enough machinery to train the models in this package: a Tensor wraps a
 float64 numpy array, primitives record their backward rules onto an active
 Tape, and backward() replays the tape once in reverse.  Graph aggregation is
-the only sparse piece: one primitive, spmm, multiplies by a scipy.sparse
-operator of one of three kinds (mean_self, mean_nbr, symnorm), or by some
-of its rows, so its backward rule is multiplication by the transpose.
+the only sparse piece: one primitive, spmm, multiplies by the scipy.sparse
+operator it is handed, and its backward rule by the transpose handed with
+it.  Which operators exist, and how long they are kept, is the graph's
+business (``graph.aggregation_operator``); this module knows no graph.
 
 Tensors are strictly 2-d and nothing broadcasts: the operands of an
 elementwise op have equal shapes.  A Tape belongs to a single forward/backward
@@ -15,13 +16,9 @@ values.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-
-from .graph import Graph, adjacency, degrees
 
 __all__ = [
     "Tensor",
@@ -34,8 +31,7 @@ __all__ = [
     "relu",
     "relu_values",
     "row_gather",
-    "where_rows",
-    "scatter_rows",
+    "merge_rows",
     "dropout",
     "spmm",
     "softmax_cross_entropy",
@@ -229,45 +225,34 @@ def row_gather(a: Tensor, indices: np.ndarray) -> Tensor:
     return _emit(out, (a,), bwd)
 
 
-def where_rows(row_condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Per-row exact selection: row v of `a` where the condition holds,
-    row v of `b` elsewhere.  Gradients route to the selected branch only."""
-    cond = np.asarray(row_condition, dtype=bool)
-    if a.shape != b.shape:
-        raise ValueError("where_rows: shape mismatch")
-    if cond.shape != (a.shape[0],):
-        raise ValueError("where_rows: one condition per row required")
-    sel = cond[:, None]
-    out = _out(np.where(sel, a.values, b.values), a, b)
+def merge_rows(h: Tensor, active: np.ndarray, update: Tensor) -> Tensor:
+    """`h` with its active rows taken from `update`, which holds every row
+    or the active rows alone, in order.  Gradients route to the taken rows
+    of `update` and to the other rows of `h`."""
+    sel = np.asarray(active, dtype=bool)
+    idx = np.flatnonzero(sel)
+    if (sel.shape != (h.shape[0],) or update.shape[1] != h.shape[1]
+            or update.shape[0] not in (h.shape[0], idx.size)):
+        raise ValueError("merge_rows: one flag per row of h, and update rows "
+                         "for every row or for the active ones")
+    if update.shape[0] == h.shape[0]:
+        mask = sel[:, None]
+        values = np.where(mask, update.values, h.values)
 
-    def bwd(g):
-        return (g * sel if a.requires_grad else None,
-                g * ~sel if b.requires_grad else None)
+        def bwd(g):
+            return (g * ~mask if h.requires_grad else None,
+                    g * mask if update.requires_grad else None)
+    else:
+        values = h.values.copy()
+        values[idx] = update.values
 
-    return _emit(out, (a, b), bwd)
+        def bwd(g):
+            g_h = g.copy()
+            g_h[idx] = 0.0
+            return (g_h if h.requires_grad else None,
+                    g[idx] if update.requires_grad else None)
 
-
-def scatter_rows(a: Tensor, rows: np.ndarray, update: Tensor) -> Tensor:
-    """`a` with row rows[i] replaced by row i of `update`.  The rows are
-    strictly increasing; gradients route to the written rows of `update`
-    and to the other rows of `a`."""
-    idx = np.asarray(rows, dtype=np.int64)
-    if idx.ndim != 1 or update.shape != (idx.size, a.shape[1]):
-        raise ValueError("scatter_rows: one update row per index required")
-    if idx.size and (idx[0] < 0 or idx[-1] >= a.shape[0] or np.any(np.diff(idx) <= 0)):
-        raise ValueError("scatter_rows: indices must be increasing and in range")
-    values = a.values.copy()
-    values[idx] = update.values
-    out = _out(values, a, update)
-
-    def bwd(g):
-        g_a = None
-        if a.requires_grad:
-            g_a = g.copy()
-            g_a[idx] = 0.0
-        return (g_a, g[idx] if update.requires_grad else None)
-
-    return _emit(out, (a, update), bwd)
+    return _emit(_out(values, h, update), (h, update), bwd)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -290,73 +275,19 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # sparse aggregation
 
 
-# graph -> {kind -> (operator, its transpose)}, both CSR
-_operator_cache: "weakref.WeakKeyDictionary[Graph, dict[str, tuple]]" = weakref.WeakKeyDictionary()
-# graph -> {kind -> (rows, those rows of the operator)}: the last row slice
-# taken, which later calls reuse while they ask for the same rows
-_slice_cache: "weakref.WeakKeyDictionary[Graph, dict[str, tuple]]" = weakref.WeakKeyDictionary()
-
-
-def _operator(graph: Graph, kind: str) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    cached = _operator_cache.get(graph, {}).get(kind)
-    if cached is not None:
-        return cached
-    adj = adjacency(graph)
-    deg = degrees(graph).astype(np.float64)
-    n = graph.num_nodes
-    if kind == "mean_self":
-        op = sp.diags(1.0 / (deg + 1.0)) @ (sp.eye(n, format="csr") + adj)
-    elif kind == "mean_nbr":
-        inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-        op = sp.diags(inv) @ adj
-    elif kind == "symnorm":
-        inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-        d = sp.diags(inv_sqrt)
-        op = d @ (sp.eye(n, format="csr") + adj) @ d
-    else:
-        raise ValueError(f"unknown aggregation kind {kind!r}")
-    op = op.tocsr()
-    pair = (op, op.T.tocsr())
-    _operator_cache.setdefault(graph, {})[kind] = pair
-    return pair
-
-
-def _operator_rows(graph: Graph, kind: str, rows: np.ndarray) -> sp.csr_matrix:
-    last = _slice_cache.get(graph, {}).get(kind)
-    if last is not None and np.array_equal(last[0], rows):
-        return last[1]
-    op = _operator(graph, kind)[0][rows]
-    _slice_cache.setdefault(graph, {})[kind] = (rows.copy(), op)
-    return op
-
-
-def spmm(graph: Graph, h: Tensor, kind: str, rows: np.ndarray | None = None) -> Tensor:
-    """`h` aggregated over the graph by the operator of one `kind`.
-
-    mean_self: (h_v + sum of neighbor rows) / (degree + 1); isolated rows
-    pass through unchanged.  mean_nbr: the neighbor mean without the self
-    term; isolated rows become 0.  symnorm: D^-1/2 (I + A) D^-1/2 with D
-    the degree plus one.  With `rows`, only those output rows are
-    computed, in that order.
-    """
-    if h.shape[0] != graph.num_nodes:
-        raise ValueError("feature rows must match node count")
-    if rows is None:
-        op, op_t = _operator(graph, kind)
-    else:
-        idx = np.asarray(rows, dtype=np.int64)
-        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= graph.num_nodes)):
-            raise ValueError("rows must be 1-d node indices")
-        op = _operator_rows(graph, kind, idx)
-        op_t = op.T
+def spmm(op, op_t, h: Tensor) -> Tensor:
+    """op @ h for a scipy.sparse operator `op`; the backward multiplies by
+    `op_t`, which must be the transpose of `op`."""
+    if op.shape[1] != h.shape[0]:
+        raise ValueError("operator columns must match feature rows")
     out = _out(op @ h.values, h)
 
     def bwd(g):
-        # the full operator's transpose is kept as CSR, a slice's is its CSC
-        # view.  Both add each output row's terms over the rows of g in
-        # increasing order: the CSR transpose sums as the CSC view does,
-        # and a slice as the full operator does with zeros in the rows
-        # left out
+        # graph.aggregation_operator hands a full operator's transpose as
+        # CSR and a slice's as its CSC view.  Both add each output row's
+        # terms over the rows of g in increasing order: the CSR transpose
+        # sums as the CSC view does, and a slice as the full operator does
+        # with zeros in the rows left out
         return (op_t @ g,)
 
     return _emit(out, (h,), bwd)

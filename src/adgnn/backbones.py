@@ -4,7 +4,7 @@ A parameter set is a flat dict of named tensors whose keys spell out the
 layer spine: ``conv3.weight`` is the weight of an aggregating layer at
 position 3, ``dense0.weight`` a purely feature-wise transform.  Layers run
 in index order with a ReLU after every layer except the last.  The three
-backbone kinds differ only in the ``autodiff.spmm`` operator an aggregating
+backbone kinds differ only in the aggregation operator an aggregating
 layer applies, which ``_AGGREGATORS`` names once per kind.
 plain_forward executes whatever spine its parameters describe with every
 edge active, which makes it both the non-adaptive baseline and the
@@ -28,7 +28,7 @@ from .autodiff import (
     spmm,
     tensor,
 )
-from .graph import Graph
+from .graph import Graph, aggregation_operator
 
 __all__ = [
     "BackboneConfig",
@@ -41,7 +41,7 @@ __all__ = [
     "plain_forward",
 ]
 
-# each backbone kind and the spmm operator its layers aggregate with
+# each backbone kind and the aggregation operator its layers apply
 _AGGREGATORS = {
     "gcn_symnorm": "symnorm",
     "gcn_rownorm": "mean_self",
@@ -54,7 +54,7 @@ BACKBONE_KINDS = tuple(_AGGREGATORS)
 class BackboneConfig:
     kind: str = "gcn_symnorm"
     layers: int = 2
-    hidden_dim: int = 64
+    hidden_dim: int = 16
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
@@ -126,22 +126,22 @@ def layer_forward(
     """One aggregating layer over every edge of the graph.
 
     gcn kinds compute relu(aggregate(H) @ W); sage_mean computes
-    relu(H @ W + aggregate(H) @ W_nbr), with aggregate the spmm operator
+    relu(H @ W + aggregate(H) @ W_nbr), with aggregate the operator
     _AGGREGATORS names for the kind.  Input dropout applies only when a
-    generator is supplied (training mode), always to all of H.  With `rows`, increasing node indices, the layer computes those
-    output rows alone, in that order.
+    generator is supplied (training mode), always to all of H.  With
+    `rows`, increasing node indices, it computes those rows alone, in order.
     """
     if dropout_rng is not None and cfg.dropout > 0.0:
         h = dropout(h, cfg.dropout, dropout_rng)
-    operator = _AGGREGATORS[cfg.kind]
+    op, op_t = aggregation_operator(graph, _AGGREGATORS[cfg.kind], rows)
     if cfg.kind == "sage_mean":
         own = h if rows is None else row_gather(h, rows)
         out = add(
             matmul(own, layer_params["weight"]),
-            matmul(spmm(graph, h, operator, rows), layer_params["weight_nbr"]),
+            matmul(spmm(op, op_t, h), layer_params["weight_nbr"]),
         )
     else:
-        out = matmul(spmm(graph, h, operator, rows), layer_params["weight"])
+        out = matmul(spmm(op, op_t, h), layer_params["weight"])
     return relu(out) if activate else out
 
 

@@ -76,22 +76,20 @@ _CSBM_DEFAULTS = {
     "sigma": 1.0,
 }
 
+# the library's own defaults, under the config keys that set them
 _TRAIN_DEFAULTS = {
-    "epochs": 150,
-    # 0.02 trains the shallow models marginally faster but destabilizes
-    # tall trunks: the first Adam step after the initial val peak can be
-    # large enough to knock a 32-layer run into a regime it never leaves.
-    "lr": 0.01,
-    "dropout": 0.0,
-    "hidden": 16,
+    "epochs": train.TrainConfig.epochs,
+    "lr": train.TrainConfig.lr,
+    "dropout": BackboneConfig.dropout,
+    "hidden": BackboneConfig.hidden_dim,
 }
 
 _MODEL_DEFAULTS = {
     "model": "plain",
-    "kind": "gcn_symnorm",
-    "layers": 2,
-    "lambda": 0.0,
-    "heuristic_name": "common_neighbors",
+    "kind": BackboneConfig.kind,
+    "layers": BackboneConfig.layers,
+    "lambda": AdGnnConfig.lambda_weight,
+    "heuristic_name": AdGnnConfig.heuristic_name,
 }
 
 _MODEL_NAMES = ("plain",) + VARIANTS

@@ -8,8 +8,7 @@ time, and never re-checked downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +21,7 @@ __all__ = [
     "build_graph",
     "degrees",
     "adjacency",
+    "aggregation_operator",
     "profile_counts",
     "make_split",
 ]
@@ -37,32 +37,50 @@ class Graph:
     itself.  Each undirected edge appears as two directed arcs, so
     ``csr_neighbors`` has exactly ``2 * num_edges`` entries.  Operators that
     want a self contribution add it explicitly rather than storing loops.
+    Everything derived from the structure is kept in one store on the graph
+    (see ``cached``), so it lives exactly as long as the graph does.
     """
 
     num_nodes: int
     num_edges: int
     csr_offsets: np.ndarray
     csr_neighbors: np.ndarray
+    _store: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.csr_offsets.flags.writeable = False
         self.csr_neighbors.flags.writeable = False
 
+    def cached(self, key, build):
+        """The value kept under `key`, made by build() on first request."""
+        if key not in self._store:
+            self._store[key] = build()
+        return self._store[key]
+
     def edges(self) -> np.ndarray:
         """All undirected edges as an (num_edges, 2) array with u < v.
-        Read-only, built on first call and kept for the graph's lifetime."""
-        return self._edges
+        Read-only, built on first call and kept."""
+        return self.cached("edges", self._build_edges)
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every directed arc, aligned with csr_neighbors.
-        Read-only, built on first call and kept for the graph's lifetime."""
-        return self._arc_sources
+        Read-only, built on first call and kept."""
+        return self.cached("arc_sources", lambda: _read_only(
+            np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))))
 
-    @cached_property
+    @property
     def arc_edges(self) -> np.ndarray:
         """Row of edges() holding each directed arc, aligned with
         csr_neighbors: arcs u->v and v->u share one row.  Built on first
-        read and kept for the graph's lifetime."""
+        read and kept."""
+        return self.cached("arc_edges", self._build_arc_edges)
+
+    def _build_edges(self) -> np.ndarray:
+        src = self.arc_sources()
+        keep = src < self.csr_neighbors
+        return _read_only(np.stack([src[keep], self.csr_neighbors[keep]], axis=1))
+
+    def _build_arc_edges(self) -> np.ndarray:
         src, dst = self.arc_sources(), self.csr_neighbors
         forward = src < dst
         edge = np.cumsum(forward) - 1
@@ -71,16 +89,6 @@ class Graph:
         key = src * self.num_nodes + dst
         reverse = np.searchsorted(key, dst * self.num_nodes + src)
         return _read_only(np.where(forward, edge, edge[reverse]))
-
-    @cached_property
-    def _edges(self) -> np.ndarray:
-        src = self.arc_sources()
-        keep = src < self.csr_neighbors
-        return _read_only(np.stack([src[keep], self.csr_neighbors[keep]], axis=1))
-
-    @cached_property
-    def _arc_sources(self) -> np.ndarray:
-        return _read_only(np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets)))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -194,6 +202,50 @@ def adjacency(graph: Graph) -> sp.csr_matrix:
         (np.ones(src.shape[0]), (src, graph.csr_neighbors)),
         shape=(graph.num_nodes, graph.num_nodes),
     )
+
+
+def aggregation_operator(
+    graph: Graph, kind: str, rows: np.ndarray | None = None
+) -> tuple[sp.spmatrix, sp.spmatrix]:
+    """The aggregation operator of one `kind` and its transpose, both CSR
+    and kept on the graph.
+
+    mean_self: (h_v + sum of neighbor rows) / (degree + 1); isolated rows
+    pass through unchanged.  mean_nbr: the neighbor mean without the self
+    term; isolated rows become 0.  symnorm: D^-1/2 (I + A) D^-1/2 with D
+    the degree plus one.  With `rows`, node indices, only those rows, in
+    that order, with the slice's CSC view as transpose; the graph keeps
+    the last slice of each kind and reuses it while the rows repeat.
+    """
+    op, op_t = graph.cached(("operator", kind), lambda: _operator(graph, kind))
+    if rows is None:
+        return op, op_t
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= graph.num_nodes)):
+        raise ValueError("rows must be 1-d node indices")
+    last = graph.cached(("operator_rows", kind), dict)
+    if "rows" not in last or not np.array_equal(last["rows"], idx):
+        sliced = op[idx]
+        last.update(rows=idx.copy(), op=sliced, op_t=sliced.T)
+    return last["op"], last["op_t"]
+
+
+def _operator(graph: Graph, kind: str) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    adj = adjacency(graph)
+    deg = degrees(graph).astype(np.float64)
+    n = graph.num_nodes
+    if kind == "mean_self":
+        op = sp.diags(1.0 / (deg + 1.0)) @ (sp.eye(n, format="csr") + adj)
+    elif kind == "mean_nbr":
+        inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+        op = sp.diags(inv) @ adj
+    elif kind == "symnorm":
+        d = sp.diags(1.0 / np.sqrt(deg + 1.0))
+        op = d @ (sp.eye(n, format="csr") + adj) @ d
+    else:
+        raise ValueError(f"unknown aggregation kind {kind!r}")
+    op = op.tocsr()
+    return op, op.T.tocsr()
 
 
 def profile_counts(graph: Graph, labels: LabelVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

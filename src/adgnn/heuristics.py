@@ -41,21 +41,19 @@ HEURISTIC_NAMES = (
 )
 
 
-def _require_edges(graph: Graph) -> None:
-    if graph.num_edges == 0:
-        raise ValueError("similarity scores need at least one edge")
-
-
 def degree_similarity(graph: Graph) -> np.ndarray:
     """Degree-product score per directed arc, scaled so the largest edge
-    product is exactly 1."""
-    _require_edges(graph)
+    product is exactly 1.  Every product is at least 1, so the initial 1
+    only ever serves an edgeless graph, whose score array is empty."""
     deg = degrees(graph)
     products = deg[graph.arc_sources()] * deg[graph.csr_neighbors]
-    return products / products.max()
+    return products / products.max(initial=1)
 
 
 def _arc_entries(matrix: sp.csr_matrix, graph: Graph) -> np.ndarray:
+    if graph.num_edges == 0:
+        # scipy answers empty index arrays with a (1, 0) sparse matrix
+        return np.zeros(0)
     vals = matrix[graph.arc_sources(), graph.csr_neighbors]
     return np.asarray(vals).reshape(-1)
 
@@ -147,7 +145,6 @@ def local_clustering(graph: Graph) -> np.ndarray:
 
 def heuristic_similarity(graph: Graph, name: str) -> np.ndarray:
     """Named structural similarity per directed arc, min-max normalized."""
-    _require_edges(graph)
     if name not in HEURISTIC_NAMES:
         raise ValueError(f"unknown heuristic {name!r}; choose from {HEURISTIC_NAMES}")
     if name == "common_neighbors":

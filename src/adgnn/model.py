@@ -23,7 +23,6 @@ extracts the shared spine.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +34,10 @@ from .autodiff import (
     _out,
     add,
     binary_cross_entropy,
+    merge_rows,
     relu_values,
     row_gather,
-    scatter_rows,
     tensor,
-    where_rows,
 )
 from .backbones import BackboneConfig, dense_forward, glorot, layer_forward
 from .graph import Graph, degrees
@@ -70,9 +68,6 @@ VARIANTS = ("learned", "fast_degree", "heuristic")
 # the similarity head's hidden width at every trunk width; deriving it
 # from the trunk would move every learned table at a hidden width not 16
 _HEAD_HIDDEN = 16
-
-# graph -> {score name -> per-arc values}; lives exactly as long as the graph
-_STRUCTURAL_SCORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # Threshold curve init: raw slope/intercept chosen so the pre-mixture
 # sigmoid sits near 0.11 at layer 1, 0.30 at layer 2, and saturates by
@@ -313,17 +308,11 @@ def assign_stopping_depths(
 def structural_scores(graph: Graph, key: str) -> np.ndarray:
     """Per-arc scores of a structural source, "degree" or a heuristic name.
 
-    They depend only on the graph, so the first call per graph and key
-    computes them and later calls read a per-graph cache: a training loop
-    pays for betweenness and friends once, not per epoch.
+    They depend only on the graph, so the graph keeps them: a training
+    loop pays for betweenness and friends once, not per epoch.
     """
-    cached = _STRUCTURAL_SCORES.setdefault(graph, {})
-    if key not in cached:
-        if key == "degree":
-            cached[key] = degree_similarity(graph)
-        else:
-            cached[key] = heuristic_similarity(graph, key)
-    return cached[key]
+    return graph.cached(("scores", key), lambda: degree_similarity(graph) if key == "degree"
+                        else heuristic_similarity(graph, key))
 
 
 def _arc_probabilities(
@@ -507,12 +496,8 @@ def forward(
             h = _soft_gate(eps, tau, t, temperature, update, h)
             continue
         active = plan.active_nodes(t)
-        rows = _sliced_rows(active)
-        update = layer_forward(bb, layer, graph, h, True, dropout_rng, rows)
-        if rows is not None:
-            h = scatter_rows(h, rows, update)
-        else:
-            h = where_rows(active, update, h)
+        update = layer_forward(bb, layer, graph, h, True, dropout_rng, _sliced_rows(active))
+        h = merge_rows(h, active, update)
 
     logits = dense_forward(
         bb,

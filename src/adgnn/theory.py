@@ -113,8 +113,6 @@ def minmax_normalize(scores: np.ndarray) -> np.ndarray:
     min-max scaled among themselves; all-equal finite input maps to all 1
     (no discriminative information, nothing gets filtered)."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if s.size == 0:
-        raise ValueError("no scores to normalize")
     out = np.zeros_like(s)
     finite = np.isfinite(s)
     if not finite.any():

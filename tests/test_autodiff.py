@@ -13,7 +13,7 @@ from adgnn.autodiff import (
     softmax_cross_entropy,
     tensor,
 )
-from adgnn.graph import build_graph, degrees
+from adgnn.graph import aggregation_operator, build_graph, degrees
 from gradcheck import REL_TOL, check_gradients, weighted_mean
 
 
@@ -26,6 +26,11 @@ def rand_tensor(rng, rows, cols, shift=0.0):
 
 def ones_like(t):
     return tensor(np.ones(t.shape))
+
+
+def aggregate(g, h, kind, rows=None):
+    """spmm by the operator of one kind that the graph hands out."""
+    return ad.spmm(*aggregation_operator(g, kind, rows), h)
 
 
 class TestForwardValues:
@@ -76,15 +81,19 @@ class TestTape:
         np.testing.assert_allclose(grads[w], expected, rtol=1e-12)
 
     def test_masked_path_gets_exact_zero(self):
+        # in both update forms the taken rows of h get exact zeros, and
+        # so do the untaken rows of an update that holds every row
         rng = np.random.default_rng(2)
-        a = rand_tensor(rng, 5, 2)
-        b = rand_tensor(rng, 5, 2)
         cond = np.array([True, True, False, True, False])
-        with Tape() as tape:
-            loss = weighted_mean(ad.where_rows(cond, a, b), ones_like(a))
-        grads = backward(tape, loss)
-        assert np.all(grads[a][~cond] == 0.0)
-        assert np.all(grads[b][cond] == 0.0)
+        for update_rows in (5, 3):
+            h = rand_tensor(rng, 5, 2)
+            update = rand_tensor(rng, update_rows, 2)
+            with Tape() as tape:
+                loss = weighted_mean(ad.merge_rows(h, cond, update), ones_like(h))
+            grads = backward(tape, loss)
+            assert np.all(grads[h][cond] == 0.0)
+            if update_rows == 5:
+                assert np.all(grads[update][~cond] == 0.0)
 
     def test_gather_gradient_matches_add_at(self):
         # repeated indices sum their gradient rows in index order, bit for
@@ -204,14 +213,17 @@ class TestGradChecks:
 
         self.run_many(case, 17)
 
-    def test_where_rows(self):
+    @pytest.mark.parametrize("form", ["every_row", "active_rows"])
+    def test_merge_rows(self, form):
+        # the update holds every row, or the active rows alone
         def case(rng):
-            a, b = rand_tensor(rng, 6, 3), rand_tensor(rng, 6, 3)
+            h = rand_tensor(rng, 6, 3)
             cond = rng.integers(0, 2, size=6).astype(bool)
+            update = rand_tensor(rng, 6 if form == "every_row" else int(cond.sum()), 3)
             w = tensor(rng.standard_normal((6, 3)))
-            return (lambda: weighted_mean(ad.where_rows(cond, a, b), w)), [a, b]
+            return (lambda: weighted_mean(ad.merge_rows(h, cond, update), w)), [h, update]
 
-        self.run_many(case, 20)
+        self.run_many(case, 20 if form == "every_row" else 26)
 
     def test_dropout(self):
         def case(rng):
@@ -252,20 +264,9 @@ class TestGradChecks:
             h = rand_tensor(rng, n, 3)
             kind = KINDS[int(rng.integers(3))]
             w = tensor(rng.standard_normal((n, 3)))
-            return (lambda: weighted_mean(ad.spmm(g, h, kind), w)), [h]
+            return (lambda: weighted_mean(aggregate(g, h, kind), w)), [h]
 
         self.run_many(case, 24)
-
-    def test_scatter_rows(self):
-        def case(rng):
-            a = rand_tensor(rng, 6, 3)
-            rows = np.flatnonzero(rng.integers(0, 2, size=6))
-            update = rand_tensor(rng, rows.size, 3)
-            w = tensor(rng.standard_normal((6, 3)))
-            build = lambda: weighted_mean(ad.scatter_rows(a, rows, update), w)
-            return build, [a, update]
-
-        self.run_many(case, 26)
 
     def test_spmm_row_slice(self):
         def case(rng):
@@ -275,7 +276,7 @@ class TestGradChecks:
             rows = np.flatnonzero(rng.integers(0, 2, size=n))
             kind = KINDS[int(rng.integers(3))]
             w = tensor(rng.standard_normal((rows.size, 3)))
-            return (lambda: weighted_mean(ad.spmm(g, h, kind, rows), w)), [h]
+            return (lambda: weighted_mean(aggregate(g, h, kind, rows), w)), [h]
 
         self.run_many(case, 27)
 
@@ -289,13 +290,13 @@ class TestGradChecks:
                 g = build_graph(rng.integers(0, n, size=(18, 2)), n)
                 h = rand_tensor(rng, n, 8)
                 w_mat = rand_tensor(rng, 8, 4)
-                pre = ad.matmul(ad.spmm(g, h, "symnorm"), w_mat)
+                pre = ad.matmul(aggregate(g, h, "symnorm"), w_mat)
                 if np.abs(pre.values).min() > 1e-3:
                     break
             wt = tensor(rng.standard_normal((n, 4)))
             return (
                 lambda: weighted_mean(
-                    ad.relu(ad.matmul(ad.spmm(g, h, "symnorm"), w_mat)), wt
+                    ad.relu(ad.matmul(aggregate(g, h, "symnorm"), w_mat)), wt
                 )
             ), [h, w_mat]
 
@@ -306,7 +307,7 @@ class TestSpmmSemantics:
     def test_path_mean_self(self):
         g = build_graph([(0, 1), (1, 2)], 3)
         h = tensor([[2.0], [4.0], [6.0]])
-        out = ad.spmm(g, h, "mean_self")
+        out = aggregate(g, h, "mean_self")
         assert out.values[1, 0] == pytest.approx(4.0)
         assert out.values[0, 0] == pytest.approx(3.0)
 
@@ -314,29 +315,29 @@ class TestSpmmSemantics:
         rng = np.random.default_rng(3)
         g = build_graph(rng.integers(0, 8, size=(14, 2)), 8)
         h = tensor(np.full((8, 3), 1.7))
-        np.testing.assert_allclose(ad.spmm(g, h, "mean_self").values, h.values)
+        np.testing.assert_allclose(aggregate(g, h, "mean_self").values, h.values)
 
     def test_edgeless_is_identity(self):
         rng = np.random.default_rng(4)
         g = build_graph([], 6)
         h = tensor(rng.standard_normal((6, 4)))
-        np.testing.assert_array_equal(ad.spmm(g, h, "mean_self").values, h.values)
+        np.testing.assert_array_equal(aggregate(g, h, "mean_self").values, h.values)
 
     def test_symnorm_pair(self):
         g = build_graph([(0, 1)], 2)
         h = tensor([[4.0], [8.0]])
-        out = ad.spmm(g, h, "symnorm")
+        out = aggregate(g, h, "symnorm")
         np.testing.assert_allclose(out.values, [[6.0], [6.0]])
 
     def test_symnorm_isolated_identity(self):
         g = build_graph([], 1)
         h = tensor([[3.0, -1.0]])
-        np.testing.assert_array_equal(ad.spmm(g, h, "symnorm").values, h.values)
+        np.testing.assert_array_equal(aggregate(g, h, "symnorm").values, h.values)
 
     def test_mean_nbr_isolated_zero(self):
         g = build_graph([(0, 1)], 3)
         h = tensor(np.ones((3, 2)))
-        out = ad.spmm(g, h, "mean_nbr")
+        out = aggregate(g, h, "mean_nbr")
         assert np.all(out.values[2] == 0.0)
 
     def test_permutation_symmetry_symnorm(self):
@@ -347,8 +348,8 @@ class TestSpmmSemantics:
         perm = rng.permutation(n)
         inv = np.argsort(perm)
         g_perm = build_graph([(perm[u], perm[v]) for u, v in g.edges()], n)
-        out = ad.spmm(g, tensor(h), "symnorm").values
-        out_perm = ad.spmm(g_perm, tensor(h[inv]), "symnorm").values
+        out = aggregate(g, tensor(h), "symnorm").values
+        out_perm = aggregate(g_perm, tensor(h[inv]), "symnorm").values
         np.testing.assert_allclose(out_perm[perm], out, atol=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -359,15 +360,20 @@ class TestSpmmSemantics:
         n = 40
         g = build_graph(rng.integers(0, 30, size=(60, 2)), n)
         assert np.any(degrees(g) == 0)
-        op, _ = ad._operator(g, kind)
+        op, op_t = aggregation_operator(g, kind)
         h = rand_tensor(rng, n, 5)
         w = tensor(rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-6, 6, (n, 1)))
         with Tape() as tape:
-            loss = weighted_mean(ad.spmm(g, h, kind), w)
+            loss = weighted_mean(ad.spmm(op, op_t, h), w)
         g_out = (1.0 / w.values.size) * w.values
         got = backward(tape, loss)[h]
         np.testing.assert_array_equal(got, op.T @ g_out)
         np.testing.assert_array_equal(got, op.T.tocsr() @ g_out)
+
+    def test_operator_columns_must_match_feature_rows(self):
+        op, op_t = aggregation_operator(build_graph([(0, 1)], 3), "symnorm")
+        with pytest.raises(ValueError, match="columns"):
+            ad.spmm(op, op_t, tensor(np.ones((2, 2))))
 
 
 class TestRowSlices:
@@ -389,11 +395,11 @@ class TestRowSlices:
             full_w = np.zeros((n, 4))
             full_w[rows] = w[rows] * (n // rows.size)
             with Tape() as tape:
-                out = ad.spmm(g, h, kind, rows)
+                out = aggregate(g, h, kind, rows)
                 loss = weighted_mean(out, tensor(w[rows]))
             sliced = backward(tape, loss)[h]
             with Tape() as tape:
-                full = ad.spmm(g, h, kind)
+                full = aggregate(g, h, kind)
                 loss = weighted_mean(full, tensor(full_w))
             np.testing.assert_array_equal(out.values, full.values[rows])
             np.testing.assert_array_equal(sliced, backward(tape, loss)[h])
@@ -431,31 +437,35 @@ class TestRowSlices:
         rng = np.random.default_rng(10)
         g = build_graph(rng.integers(0, 12, size=(30, 2)), 12)
         h = tensor(rng.standard_normal((12, 2)))
-        first = ad._operator_rows(g, "symnorm", np.array([1, 4, 7]))
-        assert ad._operator_rows(g, "symnorm", np.array([1, 4, 7])) is first
-        other = ad._operator_rows(g, "symnorm", np.array([1, 4]))
+        first, first_t = aggregation_operator(g, "symnorm", np.array([1, 4, 7]))
+        assert aggregation_operator(g, "symnorm", np.array([1, 4, 7]))[0] is first
+        assert first_t.format == "csc"
+        np.testing.assert_array_equal(first_t.toarray(), first.toarray().T)
+        other, _ = aggregation_operator(g, "symnorm", np.array([1, 4]))
         assert other is not first and other.shape == (2, 12)
-        np.testing.assert_array_equal(ad.spmm(g, h, "symnorm", np.array([1, 4])).values,
-                                      ad.spmm(g, h, "symnorm").values[[1, 4]])
+        np.testing.assert_array_equal(aggregate(g, h, "symnorm", np.array([1, 4])).values,
+                                      aggregate(g, h, "symnorm").values[[1, 4]])
 
-    def test_scatter_rows_values_and_validation(self):
-        a = tensor(np.arange(8.0).reshape(4, 2))
-        out = ad.scatter_rows(a, np.array([1, 3]), tensor([[-1.0, -2.0], [-3.0, -4.0]]))
-        np.testing.assert_array_equal(out.values, [[0, 1], [-1, -2], [4, 5], [-3, -4]])
-        np.testing.assert_array_equal(a.values, np.arange(8.0).reshape(4, 2))
-        with pytest.raises(ValueError):
-            ad.scatter_rows(a, np.array([3, 1]), tensor(np.zeros((2, 2))))
-        with pytest.raises(ValueError):
-            ad.scatter_rows(a, np.array([1, 4]), tensor(np.zeros((2, 2))))
-        with pytest.raises(ValueError):
-            ad.scatter_rows(a, np.array([1]), tensor(np.zeros((2, 2))))
+    def test_merge_rows_values_and_validation(self):
+        h = tensor(np.arange(8.0).reshape(4, 2))
+        active = np.array([False, True, False, True])
+        update = tensor([[-1.0, -2.0], [-3.0, -4.0]])
+        expected = [[0, 1], [-1, -2], [4, 5], [-3, -4]]
+        np.testing.assert_array_equal(ad.merge_rows(h, active, update).values, expected)
+        every = tensor([[9.0, 9.0], [-1.0, -2.0], [9.0, 9.0], [-3.0, -4.0]])
+        np.testing.assert_array_equal(ad.merge_rows(h, active, every).values, expected)
+        np.testing.assert_array_equal(h.values, np.arange(8.0).reshape(4, 2))
+        for flags, rows in ((active, tensor(np.zeros((3, 2)))),
+                            (active, tensor(np.zeros((2, 3)))),
+                            (active[:3], update)):
+            with pytest.raises(ValueError):
+                ad.merge_rows(h, flags, rows)
 
     def test_bad_rows_rejected(self):
         g = build_graph([(0, 1), (1, 2)], 3)
-        h = tensor(np.ones((3, 2)))
         for rows in (np.array([0, 3]), np.array([-1]), np.array([[0, 1]])):
             with pytest.raises(ValueError):
-                ad.spmm(g, h, "symnorm", rows)
+                aggregation_operator(g, "symnorm", rows)
 
 
 class TestLossValues:
@@ -538,8 +548,8 @@ class TestDeterminism:
             losses = []
             for _ in range(25):
                 with Tape() as tape:
-                    h = ad.relu(ad.matmul(ad.spmm(g, x, "symnorm"), params["w1"]))
-                    logits = ad.matmul(ad.spmm(g, h, "symnorm"), params["w2"])
+                    h = ad.relu(ad.matmul(aggregate(g, x, "symnorm"), params["w1"]))
+                    logits = ad.matmul(aggregate(g, h, "symnorm"), params["w2"])
                     loss = softmax_cross_entropy(logits, y, mask)
                 grads = backward(tape, loss)
                 adam_step(params, {k: grads[p] for k, p in params.items()}, state)

@@ -1,14 +1,21 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from adgnn.graph import (
     LabelVector,
     NodeProfile,
+    aggregation_operator,
     build_graph,
     degrees,
     make_split,
     profile_counts,
 )
+from adgnn.model import structural_scores
+
+KINDS = ("mean_self", "mean_nbr", "symnorm")
 
 
 def random_edge_list(rng, n, m):
@@ -107,6 +114,47 @@ class TestBuildGraph:
             g2 = build_graph(g.edges(), n)
             assert np.array_equal(g.csr_offsets, g2.csr_offsets)
             assert np.array_equal(g.csr_neighbors, g2.csr_neighbors)
+
+
+class TestStore:
+    def test_cached_builds_once_per_key(self):
+        built = []
+
+        def build():
+            built.append(1)
+            return len(built)
+
+        g = build_graph([(0, 1)], num_nodes=2)
+        assert g.cached("probe", build) == g.cached("probe", build) == 1
+        assert g.cached("other", build) == 2
+        assert build_graph([(0, 1)], num_nodes=2).cached("probe", build) == 3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_operator_kept_beside_its_transpose(self, kind):
+        rng = np.random.default_rng(5)
+        g = build_graph(rng.integers(0, 9, size=(14, 2)), 10)
+        op, op_t = aggregation_operator(g, kind)
+        assert op.format == op_t.format == "csr"
+        np.testing.assert_array_equal(op_t.toarray(), op.toarray().T)
+        assert aggregation_operator(g, kind)[0] is op
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown aggregation kind"):
+            aggregation_operator(build_graph([(0, 1)], 2), "max")
+
+    def test_kept_values_die_with_the_graph(self):
+        # the store is the graph's own attribute, so a sweep that drops a
+        # graph frees its operators, slices and scores with it
+        rng = np.random.default_rng(12)
+        g = build_graph(rng.integers(0, 20, size=(40, 2)), 20)
+        structural_scores(g, "degree")
+        structural_scores(g, "jaccard")
+        aggregation_operator(g, "symnorm")
+        aggregation_operator(g, "mean_nbr", np.array([2, 5]))
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestProfiles:

@@ -55,9 +55,12 @@ class TestDegreeSimilarity:
         assert arc_value(g, p, 1, 2) == 1.0
         assert arc_value(g, p, 1, 3) == 1.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            degree_similarity(build_graph([], 3))
+    def test_edgeless_graph_scores_no_arc(self):
+        # no arc, nothing to filter: every source gives the empty array
+        g = build_graph([], 3)
+        for scores in [degree_similarity(g)] + [heuristic_similarity(g, name)
+                                                for name in HEURISTIC_NAMES]:
+            assert scores.shape == (0,) and scores.dtype == np.float64
 
     def test_range_symmetry_max(self):
         rng = np.random.default_rng(0)

@@ -372,3 +372,13 @@ def test_learned_train_eval_reads_every_documented_default(monkeypatch):
     (model_cfg, tc), = trained
     assert (model_cfg.variant, model_cfg.lambda_weight) == ("learned", config["lambda"])
     assert (tc.epochs, tc.lr) == (config["epochs"], config["lr"])
+
+
+def test_autodiff_imports_nothing_from_graph():
+    # the tape library multiplies by the operator it is handed; which
+    # operators a graph has, and how long it keeps them, is graph.py's
+    tree = ast.parse((ROOT / "src/adgnn/autodiff.py").read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert not [m for m in modules if m and m.split(".")[-1] == "graph"]

@@ -17,8 +17,10 @@ from adgnn.csbm import (
     sample_graph,
 )
 from adgnn.graph import LabelVector, SplitMask, build_graph, make_split
+from adgnn.heuristics import HEURISTIC_NAMES
 from adgnn.model import AdGnnConfig
 from adgnn.train import (
+    _GATE_WARMUP_EPOCHS,
     SeedResult,
     TrainConfig,
     _temperature,
@@ -54,8 +56,10 @@ def stub_result(seed, acc):
 
 class TestTrainConfig:
     def test_defaults_valid(self):
+        # the drivers' defaults, which read these fields
         tc = TrainConfig()
-        assert tc.epochs == 200 and tc.lr == 0.01
+        assert tc.epochs == 150 and tc.lr == 0.01
+        assert BackboneConfig().hidden_dim == 16
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -320,6 +324,23 @@ class TestAdaptiveTraining:
         assert len(result.depth_histogram) == 3
         assert sum(result.depth_histogram) == 80
         assert 0.0 <= result.mean_stopping_depth <= 2.0
+
+    def test_every_adaptive_variant_trains_alike_on_an_edgeless_graph(self):
+        # with no arc there is nothing to score: every source gives the
+        # empty per-arc array, so every variant makes the same run, past
+        # the hard warm-up into soft gating
+        data = csbm_data(30, 0.9, 0.0, 1.0, 3, seed=0)
+        assert data[0].num_edges == 0
+        split = make_split(60, seed=0)
+        tc = TrainConfig(epochs=_GATE_WARMUP_EPOCHS + 3, lr=0.05)
+        variants = [("learned", "common_neighbors"), ("fast_degree", "common_neighbors")]
+        variants += [("heuristic", name) for name in HEURISTIC_NAMES]
+        results = [
+            fit_model(AdGnnConfig(backbone=backbone(2, hidden=4), variant=variant,
+                                  heuristic_name=name), data, split, tc, seed=1)[0]
+            for variant, name in variants
+        ]
+        assert all(result == results[0] for result in results)
 
     def test_fast_degree_hard_gating_smoke(self):
         # a forced plan is the one hard-gated training

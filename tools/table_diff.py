@@ -57,6 +57,17 @@ CASES = [
      {**_TINY_TRAIN, "timing_repeats": 1}, "0,1"),
     # the forced-plan sweep, the one hard-gated training, at its defaults
     ("degree_threshold", "sweep-degree-threshold", {}, "0,1,2,3,4"),
+    # the other two operators, each deep enough that its hard-gated
+    # forwards compute row slices: mean_nbr with the sliced row_gather of
+    # sage_mean's own rows, and mean_self.  At h = 0.9 the heuristic run's
+    # accuracies hid a 1e-3 change to mean_self that h = 0.6 shows
+    ("sage_mean_l4", "train-eval",
+     {"model": "learned", "kind": "sage_mean", "layers": 4, "n0": 300, "n1": 300,
+      "epochs": 60}, "0,1"),
+    ("rownorm_heuristic_l6", "train-eval",
+     {"model": "heuristic", "kind": "gcn_rownorm", "layers": 6, "n0": 300,
+      "n1": 300, "homophily": 0.6, "epochs": 60, "heuristic_name": "jaccard"},
+     "0,1"),
 ]
 
 
